@@ -4,9 +4,10 @@
 //! The source paper's in-transit buffers exist to break routing deadlock;
 //! the observable signature of that failure mode in this simulator is
 //! *no-progress* — traffic exists (packets in flight or messages
-//! undelivered) yet neither a delivery nor a link advance happens for a
-//! long stretch of sim time. [`HealthMonitor`] detects exactly that, plus
-//! two bookkeeping invariants every healthy run must satisfy:
+//! undelivered) yet neither a delivery, a link advance nor a flow-engine
+//! byte happens for a long stretch of sim time. [`HealthMonitor`] detects
+//! exactly that, plus two bookkeeping invariants every healthy run must
+//! satisfy:
 //!
 //! * **buffer conservation** — at end of run every NIC SRAM receive buffer
 //!   is either free or owned by a live reception (the `owns_buffer`
@@ -31,8 +32,9 @@ use std::io;
 /// Watchdog configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// Sim nanoseconds of no-progress (no delivery, no link byte advance)
-    /// while traffic is pending before the stall watchdog fires.
+    /// Sim nanoseconds of no-progress (no delivery, no link byte advance,
+    /// no flow-engine byte served) while traffic is pending before the
+    /// stall watchdog fires.
     pub stall_budget_ns: u64,
 }
 
@@ -124,6 +126,11 @@ pub struct HealthMonitor {
     violations: Vec<Violation>,
 }
 
+/// Counters whose advance is progress, besides link bytes: packet
+/// deliveries, and bytes served by the flow engine (hybrid runs), which
+/// moves no packet and touches no link.
+const PROGRESS_COUNTERS: [&str; 2] = ["net.delivered", "flow.bytes_delivered"];
+
 /// Total bytes moved over every link, both directions.
 fn link_bytes(s: &Snapshot) -> u64 {
     s.links
@@ -180,7 +187,9 @@ impl HealthMonitor {
                     blocked: Vec::new(),
                 });
             }
-            let progressed = snap.counter("net.delivered") != prev.counter("net.delivered")
+            let progressed = PROGRESS_COUNTERS
+                .iter()
+                .any(|&k| snap.counter(k) != prev.counter(k))
                 || link_bytes(snap) != link_bytes(prev);
             if progressed {
                 self.last_progress_ns = at;
@@ -247,9 +256,11 @@ impl HealthMonitor {
                     }
                 }
             }
-            let delivered = schema.counter_index("net.delivered");
-            let progressed = delivered.is_some_and(|i| frame.counters[i] != prev.counters[i])
-                || frame_link_bytes(frame) != frame_link_bytes(prev);
+            let progressed = PROGRESS_COUNTERS.iter().any(|&k| {
+                schema
+                    .counter_index(k)
+                    .is_some_and(|i| frame.counters[i] != prev.counters[i])
+            }) || frame_link_bytes(frame) != frame_link_bytes(prev);
             if progressed {
                 self.last_progress_ns = at;
                 self.in_stall = false;
@@ -475,6 +486,36 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.detail == "counter net.delivered regressed: 1 -> 0"));
+    }
+
+    #[test]
+    fn flow_bytes_count_as_progress_on_both_paths() {
+        use crate::frame::{MetricsFrame, MetricsSchema};
+        // A flow-only stretch: no packet delivery, no link byte, but the
+        // flow engine serves bytes every sample.
+        let schema = MetricsSchema::new(
+            vec!["net.delivered".into(), "flow.bytes_delivered".into()],
+            vec!["h0-s0".into()],
+        );
+        let mut frame = MetricsFrame::for_schema(&schema);
+        let cfg = HealthConfig {
+            stall_budget_ns: 1000,
+        };
+        let (mut via_snap, mut via_frame) = (HealthMonitor::new(cfg), HealthMonitor::new(cfg));
+        for (i, at) in [500u64, 1000, 1500, 2000, 2500].into_iter().enumerate() {
+            let flow_bytes = 4096 * (i as u64 + 1);
+            let mut s = snap(at, 0, 0);
+            s.counters.insert("flow.bytes_delivered".into(), flow_bytes);
+            assert!(!via_snap.observe(&s, true), "snapshot path fired at {at}");
+            frame.at_ns = at;
+            frame.counters[1] = flow_bytes;
+            assert!(
+                !via_frame.observe_frame(&frame, &schema, true),
+                "frame path fired at {at}"
+            );
+        }
+        assert!(via_snap.finish(2500).healthy);
+        assert!(via_frame.finish(2500).healthy);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::path::SourceRoute;
 use crate::table::RouteTable;
+use crate::updown::BfsTree;
 use itb_topo::{Node, SwitchId, Topology, UpDown};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -45,8 +46,10 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
     // per-channel reporting deterministic by construction (detlint D001).
     let mut load: BTreeMap<(u32, bool), u64> = BTreeMap::new();
 
-    // Cache of min distances per (src switch, dst switch) is overkill here;
-    // recompute per route via BFS once per source host instead.
+    // Routes come source-major, so one unconstrained search per source
+    // switch gives every minimal distance.
+    let mut tree = BfsTree::default();
+    let mut searched = None;
     for route in table.iter() {
         n += 1;
         let links = route_links(route);
@@ -56,9 +59,15 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
         if visits_switch(route, root) {
             root_crossing += 1;
         }
-        let min =
-            // detlint::allow(S001, figure routes connect distinct hosts)
-            crate::updown::min_crossings(topo, route.src, route.dst).expect("distinct hosts") - 1;
+        let src_sw = topo.host_attachment(route.src).0;
+        if searched != Some(src_sw) {
+            tree.run(topo, None, src_sw, None);
+            searched = Some(src_sw);
+        }
+        let min = tree
+            .links_to(topo.host_attachment(route.dst).0)
+            // detlint::allow(S001, route tables only exist for connected fabrics)
+            .expect("connected fabric");
         if links == min {
             minimal += 1;
         }

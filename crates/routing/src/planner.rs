@@ -15,9 +15,8 @@
 //! the planned route is never longer than the up\*/down\* one.
 
 use crate::path::{Hop, Segment, SourceRoute};
-use itb_sim::narrow;
-use itb_topo::updown::Direction;
-use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
+use crate::updown::{state, unpack, DirState, UNREACHED};
+use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -60,26 +59,113 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// Direction component of the search state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Dir {
-    Start,
-    Up,
-    Down,
+/// Hosts on every switch, in port order, gathered once per topology so
+/// neither the search nor the in-transit host choice allocates.
+#[derive(Debug)]
+pub(crate) struct SwitchHosts {
+    /// `hosts[start[s]..start[s + 1]]` hang off switch `s`.
+    start: Vec<usize>,
+    hosts: Vec<HostId>,
 }
 
-impl Dir {
-    fn after(d: Direction) -> Dir {
-        match d {
-            Direction::Up => Dir::Up,
-            Direction::Down => Dir::Down,
+impl SwitchHosts {
+    pub(crate) fn new(topo: &Topology) -> Self {
+        let mut start = Vec::with_capacity(topo.num_switches() + 1);
+        let mut hosts = Vec::with_capacity(topo.num_hosts());
+        start.push(0);
+        for s in topo.switch_ids() {
+            hosts.extend(topo.hosts_on(s));
+            start.push(hosts.len());
         }
+        SwitchHosts { start, hosts }
     }
-    fn code(self) -> usize {
-        match self {
-            Dir::Start => 0,
-            Dir::Up => 1,
-            Dir::Down => 2,
+
+    fn at(&self, s: SwitchId) -> &[HostId] {
+        &self.hosts[self.start[s.idx()]..self.start[s.idx() + 1]]
+    }
+}
+
+/// `(cost=(links, itbs), fifo tie-break, state index)`.
+type HeapEntry = Reverse<((u32, u32), u64, usize)>;
+
+/// Dijkstra over `(switch, dir)` states from one source switch, with cost
+/// *(links, itbs)* and a FIFO tie-break. The result depends on the source
+/// switch only, and the buffers are reused from run to run.
+///
+/// Once a state is popped its `prev` never changes: every edge costs at
+/// least one link, so later pops carry strictly larger costs. The first
+/// state popped on a switch therefore roots the same hop list whether the
+/// search stopped there or ran on, and one full search from a source switch
+/// serves every destination an early-exit search toward it would.
+#[derive(Debug, Default)]
+pub(crate) struct ItbSearch {
+    best: Vec<(u32, u32)>,
+    /// `prev[state] = (prev_state, hop, itb_inserted_before_hop)`.
+    prev: Vec<Option<(usize, Hop, bool)>>,
+    /// First state popped on each switch, or [`UNREACHED`].
+    settled: Vec<usize>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl ItbSearch {
+    /// Search from `src_sw`; with `stop`, end at the first state popped on
+    /// that switch.
+    pub(crate) fn run(
+        &mut self,
+        topo: &Topology,
+        ud: &UpDown,
+        hosts: &SwitchHosts,
+        src_sw: SwitchId,
+        stop: Option<SwitchId>,
+    ) {
+        const INF: (u32, u32) = (u32::MAX, u32::MAX);
+        let n = topo.num_switches();
+        self.best.clear();
+        self.best.resize(n * 3, INF);
+        self.prev.clear();
+        self.prev.resize(n * 3, None);
+        self.settled.clear();
+        self.settled.resize(n, UNREACHED);
+        self.heap.clear();
+
+        let mut seq = 0u64;
+        let start = state(src_sw, DirState::Start);
+        self.best[start] = (0, 0);
+        self.heap.push(Reverse(((0, 0), seq, start)));
+        while let Some(Reverse((cost, _, st))) = self.heap.pop() {
+            if cost > self.best[st] {
+                continue;
+            }
+            let (s, d) = unpack(st);
+            if self.settled[s.idx()] == UNREACHED {
+                self.settled[s.idx()] = st;
+            }
+            if stop == Some(s) {
+                break;
+            }
+            for (port, link, nbr) in topo.switch_neighbors(s) {
+                let dir = ud.direction_from(topo, link, s, port);
+                // A forbidden down→up turn needs an in-transit host here.
+                let needs_itb = !d.step_allowed(dir);
+                if needs_itb && hosts.at(s).is_empty() {
+                    continue;
+                }
+                let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
+                let nstate = state(nbr, DirState::after(dir));
+                if ncost < self.best[nstate] {
+                    self.best[nstate] = ncost;
+                    self.prev[nstate] = Some((
+                        st,
+                        Hop {
+                            switch: s,
+                            out_port: port,
+                        },
+                        needs_itb,
+                    ));
+                    seq += 1;
+                    self.heap.push(Reverse((ncost, seq, nstate)));
+                }
+            }
         }
     }
 }
@@ -91,6 +177,8 @@ pub struct ItbPlanner {
     selection: ItbHostSelection,
     /// Per-switch rotation cursor for [`ItbHostSelection::RoundRobin`].
     rr_cursor: Vec<usize>,
+    /// Scratch: the hop list being assembled, with ITB markers.
+    path: Vec<(Hop, bool)>,
 }
 
 impl ItbPlanner {
@@ -99,6 +187,7 @@ impl ItbPlanner {
         ItbPlanner {
             selection,
             rr_cursor: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -126,137 +215,103 @@ impl ItbPlanner {
         if src == dst {
             return Err(PlannerError::SameHost(src));
         }
+        let hosts = SwitchHosts::new(topo);
+        let mut search = ItbSearch::default();
+        let stop = topo.host_attachment(dst).0;
+        search.run(topo, ud, &hosts, topo.host_attachment(src).0, Some(stop));
+        self.assemble(topo, &hosts, &search, src, dst)
+    }
+
+    /// Read the route `src → dst` out of `search`, which ran from `src`'s
+    /// switch, and split it into segments at the ITB markers. In-transit
+    /// hosts are picked in hop order.
+    pub(crate) fn assemble(
+        &mut self,
+        topo: &Topology,
+        hosts: &SwitchHosts,
+        search: &ItbSearch,
+        src: HostId,
+        dst: HostId,
+    ) -> Result<SourceRoute, PlannerError> {
         if self.rr_cursor.len() < topo.num_switches() {
             self.rr_cursor.resize(topo.num_switches(), 0);
         }
-        let (src_sw, _) = topo.host_attachment(src);
         let (dst_sw, dst_port) = topo.host_attachment(dst);
-
-        // Dijkstra over (switch, dir) with cost (links, itbs).
-        let n = topo.num_switches();
-        let idx = |s: SwitchId, d: Dir| s.idx() * 3 + d.code();
-        const INF: (u32, u32) = (u32::MAX, u32::MAX);
-        let mut best = vec![INF; n * 3];
-        // prev[state] = (prev_state, hop, itb_inserted_before_hop)
-        let mut prev: Vec<Option<(usize, Hop, bool)>> = vec![None; n * 3];
-        // (cost=(links, itbs), fifo tie-break, state index)
-        type HeapEntry = Reverse<((u32, u32), u64, usize)>;
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let unpack = |state: usize| {
-            let s = SwitchId(narrow(state / 3));
-            let d = match state % 3 {
-                0 => Dir::Start,
-                1 => Dir::Up,
-                _ => Dir::Down,
-            };
-            (s, d)
-        };
-
-        let start = idx(src_sw, Dir::Start);
-        best[start] = (0, 0);
-        heap.push(Reverse(((0, 0), seq, start)));
-
-        let mut goal: Option<usize> = None;
-        while let Some(Reverse((cost, _, state))) = heap.pop() {
-            let (s, d) = unpack(state);
-            if cost > best[state] {
-                continue;
-            }
-            if s == dst_sw {
-                goal = Some(state);
-                break;
-            }
-            for (port, link, nbr) in topo.switch_neighbors(s) {
-                let dir = ud.direction_from(topo, link, s, port);
-                let (needs_itb, ok) = match (d, dir) {
-                    (Dir::Down, Direction::Up) => (true, !topo.hosts_at(s).is_empty()),
-                    _ => (false, true),
-                };
-                if !ok {
-                    continue;
-                }
-                let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
-                let nstate = idx(nbr, Dir::after(dir));
-                if ncost < best[nstate] {
-                    best[nstate] = ncost;
-                    prev[nstate] = Some((
-                        state,
-                        Hop {
-                            switch: s,
-                            out_port: port,
-                        },
-                        needs_itb,
-                    ));
-                    seq += 1;
-                    heap.push(Reverse((ncost, seq, nstate)));
-                }
-            }
+        let goal = search.settled[dst_sw.idx()];
+        if goal == UNREACHED {
+            return Err(PlannerError::Unreachable { src, dst });
         }
-
-        let goal = goal.ok_or(PlannerError::Unreachable { src, dst })?;
-
-        // Reconstruct the hop list with ITB markers.
-        let mut rev: Vec<(Hop, bool)> = Vec::new();
+        let path = &mut self.path;
+        path.clear();
         let mut cur = goal;
-        while let Some((p, hop, itb)) = prev[cur] {
-            rev.push((hop, itb));
+        while let Some((p, hop, itb)) = search.prev[cur] {
+            path.push((hop, itb));
             cur = p;
         }
-        rev.reverse();
+        path.reverse();
 
-        // Assemble segments, breaking at ITB markers.
-        let mut segments = Vec::new();
-        let mut cur_from = src;
-        let mut cur_hops: Vec<Hop> = Vec::new();
-        for (hop, itb_here) in rev {
-            if itb_here {
-                let host = self.select_itb_host(topo, hop.switch);
-                let host_port = self.switch_port_of_host(topo, host);
-                cur_hops.push(Hop {
-                    switch: hop.switch,
-                    out_port: host_port,
+        // A segment runs from its first hop up to the next ITB marker (the
+        // first hop of a route never carries one). Both Vecs are sized
+        // exactly: a table keeps every one of them.
+        let mut segments = Vec::with_capacity(search.best[goal].1 as usize + 1);
+        let mut from = src;
+        let mut first = 0;
+        loop {
+            let end = (first + 1..path.len())
+                .find(|&k| path[k].1)
+                .unwrap_or(path.len());
+            let mut hops = Vec::with_capacity(end - first + 1);
+            hops.extend(path[first..end].iter().map(|&(hop, _)| hop));
+            let Some(&(itb_hop, _)) = path.get(end) else {
+                hops.push(Hop {
+                    switch: dst_sw,
+                    out_port: dst_port,
                 });
                 segments.push(Segment {
-                    from: cur_from,
-                    to: host,
-                    hops: std::mem::take(&mut cur_hops),
+                    from,
+                    to: dst,
+                    hops,
                 });
-                cur_from = host;
-            }
-            cur_hops.push(hop);
-        }
-        cur_hops.push(Hop {
-            switch: dst_sw,
-            out_port: dst_port,
-        });
-        segments.push(Segment {
-            from: cur_from,
-            to: dst,
-            hops: cur_hops,
-        });
-
-        Ok(SourceRoute { src, dst, segments })
-    }
-
-    /// Pick the in-transit host at `s` per the selection policy.
-    fn select_itb_host(&mut self, topo: &Topology, s: SwitchId) -> HostId {
-        let hosts = topo.hosts_at(s);
-        debug_assert!(!hosts.is_empty(), "planner only breaks at hosted switches");
-        match self.selection {
-            ItbHostSelection::First => hosts[0],
-            ItbHostSelection::RoundRobin => {
-                let cur = &mut self.rr_cursor[s.idx()];
-                let h = hosts[*cur % hosts.len()];
-                *cur = (*cur + 1) % hosts.len();
-                h
-            }
+                return Ok(SourceRoute { src, dst, segments });
+            };
+            let host = select_itb_host(
+                self.selection,
+                &mut self.rr_cursor,
+                hosts.at(itb_hop.switch),
+                itb_hop.switch,
+            );
+            hops.push(Hop {
+                switch: itb_hop.switch,
+                out_port: topo.host_attachment(host).1,
+            });
+            segments.push(Segment {
+                from,
+                to: host,
+                hops,
+            });
+            from = host;
+            first = end;
         }
     }
+}
 
-    /// The switch port a host's cable plugs into.
-    fn switch_port_of_host(&self, topo: &Topology, h: HostId) -> PortIx {
-        topo.host_attachment(h).1
+/// Pick the in-transit host among `hosts` (those on switch `s`) per the
+/// selection policy.
+fn select_itb_host(
+    selection: ItbHostSelection,
+    rr_cursor: &mut [usize],
+    hosts: &[HostId],
+    s: SwitchId,
+) -> HostId {
+    debug_assert!(!hosts.is_empty(), "planner only breaks at hosted switches");
+    match selection {
+        ItbHostSelection::First => hosts[0],
+        ItbHostSelection::RoundRobin => {
+            let cur = &mut rr_cursor[s.idx()];
+            let h = hosts[*cur % hosts.len()];
+            *cur = (*cur + 1) % hosts.len();
+            h
+        }
     }
 }
 
@@ -271,6 +326,7 @@ mod tests {
     use super::*;
     use crate::updown::{min_crossings, shortest_any, shortest_updown};
     use itb_topo::builders::{chain, random_irregular, ring, IrregularSpec};
+    use itb_topo::updown::Direction;
     use itb_topo::SpanningTree;
 
     fn assert_segments_legal(topo: &Topology, ud: &UpDown, r: &SourceRoute) {

@@ -1,9 +1,8 @@
 //! Route tables — what the GM mapper computes and installs in each NIC.
 
 use crate::path::SourceRoute;
-use crate::planner::{ItbHostSelection, ItbPlanner, PlannerError};
-use crate::updown::shortest_updown;
-use itb_sim::narrow;
+use crate::planner::{ItbHostSelection, ItbPlanner, ItbSearch, PlannerError, SwitchHosts};
+use crate::updown::BfsTree;
 use itb_topo::{HostId, Topology, UpDown};
 use serde::{Deserialize, Serialize};
 
@@ -39,6 +38,12 @@ impl RouteTable {
     }
 
     /// Compute routes with an explicit in-transit host selection policy.
+    ///
+    /// A route depends only on its source and destination switches, so
+    /// each source switch is searched once and every route out of it is
+    /// read from that one search tree. Routes are assembled source-major,
+    /// destination-minor, which keeps the round-robin in-transit host
+    /// sequence of a per-pair loop.
     pub fn compute_with_selection(
         topo: &Topology,
         ud: &UpDown,
@@ -46,22 +51,32 @@ impl RouteTable {
         selection: ItbHostSelection,
     ) -> Result<RouteTable, PlannerError> {
         let n = topo.num_hosts();
+        let hosts = SwitchHosts::new(topo);
         let mut planner = ItbPlanner::new(selection);
+        let mut itb_search = ItbSearch::default();
+        let mut ud_search = BfsTree::default();
+        let mut searched = None;
         let mut routes = Vec::with_capacity(n);
-        for s in 0..narrow::<u16, _>(n) {
+        for src in topo.host_ids() {
+            let src_sw = topo.host_attachment(src).0;
+            if searched != Some(src_sw) {
+                match policy {
+                    RoutingPolicy::UpDown => ud_search.run(topo, Some(ud), src_sw, None),
+                    RoutingPolicy::Itb => itb_search.run(topo, ud, &hosts, src_sw, None),
+                }
+                searched = Some(src_sw);
+            }
             let mut row = Vec::with_capacity(n);
-            for d in 0..narrow::<u16, _>(n) {
-                if s == d {
+            for dst in topo.host_ids() {
+                if src == dst {
                     row.push(None);
                     continue;
                 }
                 let r = match policy {
-                    RoutingPolicy::UpDown => shortest_updown(topo, ud, HostId(s), HostId(d))
-                        .ok_or(PlannerError::Unreachable {
-                            src: HostId(s),
-                            dst: HostId(d),
-                        })?,
-                    RoutingPolicy::Itb => planner.route(topo, ud, HostId(s), HostId(d))?,
+                    RoutingPolicy::UpDown => ud_search
+                        .route(topo, src, dst)
+                        .ok_or(PlannerError::Unreachable { src, dst })?,
+                    RoutingPolicy::Itb => planner.assemble(topo, &hosts, &itb_search, src, dst)?,
                 };
                 row.push(Some(r));
             }

@@ -1,13 +1,14 @@
 //! Shortest-path computation: plain minimal and up\*/down\*-legal.
 
 use crate::path::{Hop, SourceRoute};
+use itb_sim::narrow;
 use itb_topo::updown::Direction;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use std::collections::VecDeque;
 
 /// Direction state carried along a path search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum DirState {
+pub(crate) enum DirState {
     /// No inter-switch link traversed yet (just left the source host).
     Start,
     /// Last traversal was toward an up end.
@@ -17,16 +18,35 @@ enum DirState {
 }
 
 impl DirState {
-    fn step_allowed(self, next: Direction) -> bool {
+    /// Whether up\*/down\* allows the step: never down then up.
+    pub(crate) fn step_allowed(self, next: Direction) -> bool {
         !matches!((self, next), (DirState::Down, Direction::Up))
     }
-    fn after(next: Direction) -> DirState {
+    pub(crate) fn after(next: Direction) -> DirState {
         match next {
             Direction::Up => DirState::Up,
             Direction::Down => DirState::Down,
         }
     }
 }
+
+/// Search state index of `(s, d)`: three direction states per switch.
+pub(crate) fn state(s: SwitchId, d: DirState) -> usize {
+    s.idx() * 3 + d as usize
+}
+
+/// Inverse of [`state`].
+pub(crate) fn unpack(state: usize) -> (SwitchId, DirState) {
+    let d = match state % 3 {
+        0 => DirState::Start,
+        1 => DirState::Up,
+        _ => DirState::Down,
+    };
+    (SwitchId(narrow(state / 3)), d)
+}
+
+/// Marks a switch a search has not reached.
+pub(crate) const UNREACHED: usize = usize::MAX;
 
 /// Shortest up\*/down\*-legal route between two hosts, or `None` when the
 /// hosts coincide. Up\*/down\* is connected (every pair is reachable via the
@@ -41,22 +61,12 @@ pub fn shortest_updown(
     src: HostId,
     dst: HostId,
 ) -> Option<SourceRoute> {
-    if src == dst {
-        return None;
-    }
-    let (src_sw, _) = topo.host_attachment(src);
-    let hops = switch_path(topo, Some(ud), src_sw, dst)?;
-    Some(SourceRoute::direct(src, dst, hops))
+    direct_route(topo, Some(ud), src, dst)
 }
 
 /// Shortest route ignoring up\*/down\* legality (minimal routing).
 pub fn shortest_any(topo: &Topology, src: HostId, dst: HostId) -> Option<SourceRoute> {
-    if src == dst {
-        return None;
-    }
-    let (src_sw, _) = topo.host_attachment(src);
-    let hops = switch_path(topo, None, src_sw, dst)?;
-    Some(SourceRoute::direct(src, dst, hops))
+    direct_route(topo, None, src, dst)
 }
 
 /// Minimal number of switch crossings between two hosts, ignoring legality.
@@ -64,76 +74,124 @@ pub fn min_crossings(topo: &Topology, src: HostId, dst: HostId) -> Option<usize>
     shortest_any(topo, src, dst).map(|r| r.total_crossings())
 }
 
-/// BFS from `start_sw` to `dst`'s switch; when `ud` is given, forbids
-/// down→up transitions. Returns the hop list including the final hop out to
-/// the destination host.
-fn switch_path(
+/// One early-exit search from `src`'s switch toward `dst`'s.
+fn direct_route(
     topo: &Topology,
     ud: Option<&UpDown>,
-    start_sw: SwitchId,
+    src: HostId,
     dst: HostId,
-) -> Option<Vec<Hop>> {
-    let (dst_sw, dst_port) = topo.host_attachment(dst);
-    // State space: (switch, dir). 3 dir states per switch.
-    let n = topo.num_switches();
-    let idx = |s: SwitchId, d: DirState| {
-        s.idx() * 3
-            + match d {
-                DirState::Start => 0,
-                DirState::Up => 1,
-                DirState::Down => 2,
-            }
-    };
-    // prev[state] = (prev_state, hop taken to get here)
-    let mut prev: Vec<Option<(usize, Hop)>> = vec![None; n * 3];
-    let mut visited = vec![false; n * 3];
-    let start = idx(start_sw, DirState::Start);
-    visited[start] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back((start_sw, DirState::Start));
+) -> Option<SourceRoute> {
+    if src == dst {
+        return None;
+    }
+    let mut tree = BfsTree::default();
+    let stop = topo.host_attachment(dst).0;
+    tree.run(topo, ud, topo.host_attachment(src).0, Some(stop));
+    tree.route(topo, src, dst)
+}
 
-    while let Some((s, d)) = queue.pop_front() {
-        if s == dst_sw {
-            // Exit to the host: allowed from any direction state (host links
-            // carry no up/down orientation).
-            let mut hops = vec![Hop {
-                switch: s,
-                out_port: dst_port,
-            }];
-            let mut cur = idx(s, d);
-            while let Some((p, hop)) = prev[cur] {
-                hops.push(hop);
-                cur = p;
+/// Breadth-first search over `(switch, dir)` states from one source switch,
+/// in ascending port order; with `ud` given, down→up transitions are
+/// forbidden. The buffers are reused from run to run.
+///
+/// A state's `prev` is fixed when the state is first enqueued, so the first
+/// state dequeued on a switch roots the same hop list whether the search
+/// stopped there or ran on: one full search from a source switch serves
+/// every destination.
+#[derive(Debug, Default)]
+pub(crate) struct BfsTree {
+    /// `prev[state] = (prev_state, hop taken to get here)`.
+    prev: Vec<Option<(usize, Hop)>>,
+    /// Inter-switch links from the source per state; `u32::MAX` while
+    /// unvisited.
+    dist: Vec<u32>,
+    /// First state dequeued on each switch, or [`UNREACHED`].
+    first: Vec<usize>,
+    queue: VecDeque<usize>,
+}
+
+impl BfsTree {
+    /// Search from `src_sw`; with `stop`, end at the first state dequeued on
+    /// that switch.
+    pub(crate) fn run(
+        &mut self,
+        topo: &Topology,
+        ud: Option<&UpDown>,
+        src_sw: SwitchId,
+        stop: Option<SwitchId>,
+    ) {
+        let n = topo.num_switches();
+        self.prev.clear();
+        self.prev.resize(n * 3, None);
+        self.dist.clear();
+        self.dist.resize(n * 3, u32::MAX);
+        self.first.clear();
+        self.first.resize(n, UNREACHED);
+        self.queue.clear();
+
+        let start = state(src_sw, DirState::Start);
+        self.dist[start] = 0;
+        self.queue.push_back(start);
+        while let Some(st) = self.queue.pop_front() {
+            let (s, d) = unpack(st);
+            if self.first[s.idx()] == UNREACHED {
+                self.first[s.idx()] = st;
             }
-            hops.reverse();
-            return Some(hops);
-        }
-        for (port, link, nbr) in topo.switch_neighbors(s) {
-            let next_d = match ud {
-                Some(ud) => {
-                    let dir = ud.direction_from(topo, link, s, port);
-                    if !d.step_allowed(dir) {
-                        continue;
+            if stop == Some(s) {
+                break;
+            }
+            for (port, link, nbr) in topo.switch_neighbors(s) {
+                let next_d = match ud {
+                    Some(ud) => {
+                        let dir = ud.direction_from(topo, link, s, port);
+                        if !d.step_allowed(dir) {
+                            continue;
+                        }
+                        DirState::after(dir)
                     }
-                    DirState::after(dir)
+                    None => DirState::Start, // single state when unconstrained
+                };
+                let ni = state(nbr, next_d);
+                if self.dist[ni] == u32::MAX {
+                    self.dist[ni] = self.dist[st] + 1;
+                    self.prev[ni] = Some((
+                        st,
+                        Hop {
+                            switch: s,
+                            out_port: port,
+                        },
+                    ));
+                    self.queue.push_back(ni);
                 }
-                None => DirState::Start, // single state when unconstrained
-            };
-            let ni = idx(nbr, next_d);
-            if !visited[ni] {
-                visited[ni] = true;
-                prev[ni] = Some((
-                    idx(s, d),
-                    Hop {
-                        switch: s,
-                        out_port: port,
-                    },
-                ));
-                queue.push_back((nbr, next_d));
             }
         }
     }
-    None
+
+    /// Inter-switch links on the path to switch `sw`.
+    pub(crate) fn links_to(&self, sw: SwitchId) -> Option<usize> {
+        let goal = self.first[sw.idx()];
+        (goal != UNREACHED).then(|| self.dist[goal] as usize)
+    }
+
+    /// The route from `src` (on the searched switch) to `dst`, ending with
+    /// the hop out to `dst`'s host link. A host link carries no up/down
+    /// orientation, so that hop is allowed from any direction state.
+    pub(crate) fn route(&self, topo: &Topology, src: HostId, dst: HostId) -> Option<SourceRoute> {
+        let (dst_sw, dst_port) = topo.host_attachment(dst);
+        let links = self.links_to(dst_sw)?;
+        let mut hops = Vec::with_capacity(links + 1);
+        hops.push(Hop {
+            switch: dst_sw,
+            out_port: dst_port,
+        });
+        let mut cur = self.first[dst_sw.idx()];
+        while let Some((p, hop)) = self.prev[cur] {
+            hops.push(hop);
+            cur = p;
+        }
+        hops.reverse();
+        Some(SourceRoute::direct(src, dst, hops))
+    }
 }
 
 #[cfg(test)]

@@ -315,13 +315,17 @@ impl Topology {
 
     /// Hosts attached to switch `s`, in port order.
     pub fn hosts_at(&self, s: SwitchId) -> Vec<HostId> {
+        self.hosts_on(s).collect()
+    }
+
+    /// Allocation-free form of [`Topology::hosts_at`].
+    pub fn hosts_on(&self, s: SwitchId) -> impl Iterator<Item = HostId> + '_ {
         self.switch_ports(s)
             .filter_map(|(_, _, l)| l)
             .filter_map(|l| {
                 let link = self.link(l);
                 link.a.node.as_host().or(link.b.node.as_host())
             })
-            .collect()
     }
 
     /// Switch-to-switch neighbours of `s`: `(out port, link, neighbour)`.

@@ -19,10 +19,13 @@
 //!   the [`ESCALATE_CONTENTION`] trigger, hands its flows back to the
 //!   packet path mid-flight, and still delivers everything exactly once,
 //!   deterministically.
+//!
+//! The health watchdog must see flow-engine progress too: a run carried
+//! entirely by flows moves no packet bytes, yet it is not stalled.
 
 use itb_myrinet::core::{ClusterSpec, RoutingPolicy};
 use itb_myrinet::gm::{AppBehavior, Cluster, ClusterEvent, ESCALATE_CONTENTION};
-use itb_myrinet::sim::{run_while, Digest, EventQueue, SimDuration};
+use itb_myrinet::sim::{run_while, Digest, EventQueue, SimDuration, SimTime};
 use itb_myrinet::topo::{partition, HostId, RegionFidelity, RegionPlan};
 
 const REGIONS: usize = 4;
@@ -229,4 +232,43 @@ fn contended_flow_region_escalates_and_still_delivers_exactly_once() {
     assert_eq!(digest_a, digest_b);
     assert_eq!(set_a, set_b);
     assert_eq!(orders_a, orders_b);
+}
+
+#[test]
+fn flow_only_run_does_not_trip_the_stall_watchdog() {
+    let spec = ClusterSpec::irregular(16, 1).with_routing(RoutingPolicy::UpDown);
+    let n = spec.num_hosts();
+    // A few large messages: each flow lives for many rounds, far longer
+    // than the stall budget, and the load stays under the contention
+    // trigger, so no region escalates and no packet ever moves.
+    let senders = 4;
+    let mut behaviors = vec![AppBehavior::Sink; n];
+    for (i, b) in behaviors.iter_mut().enumerate().take(senders) {
+        *b = AppBehavior::Stream {
+            dst: HostId((i + n / 2) as u16),
+            size: 65_536,
+            count: 1,
+        };
+    }
+
+    let mut hybrid = spec.build(behaviors);
+    let plan = RegionPlan::all_flow(partition(spec.topology(), REGIONS, spec.seed));
+    hybrid.enable_flow_regions(plan, FLOW_ROUND);
+    hybrid.enable_health(FLOW_ROUND, FLOW_ROUND * 4);
+    let mut q = EventQueue::new();
+    drain(&mut hybrid, &mut q, senders);
+
+    assert_eq!(hybrid.flow_messages(), senders as u64);
+    assert!(
+        q.now() > SimTime::ZERO + FLOW_ROUND * 8,
+        "the flows must outlive the stall budget"
+    );
+    let snap = hybrid.metrics_snapshot(q.now());
+    assert_eq!(snap.counters["net.delivered"], 0, "no packet may move");
+    let report = hybrid.health_report(q.now()).expect("health was enabled");
+    assert!(
+        report.healthy,
+        "flow progress flagged: {:?}",
+        report.violations
+    );
 }
