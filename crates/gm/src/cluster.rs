@@ -2,7 +2,7 @@
 
 use crate::apps::{AppBehavior, PingPongState};
 use crate::config::GmConfig;
-use crate::host::{Host, RetransDecision, RxAction};
+use crate::host::{Host, QueuedPacket, RetransDecision, RxAction};
 use crate::meta::{Kind, PacketMeta};
 use itb_net::HostIndication;
 use itb_net::{FaultPlan, FlowNet, HostCrash, NetConfig, NetEvent, NetSched, Network, PacketDesc};
@@ -306,6 +306,14 @@ pub struct Cluster {
     pub net: Network,
     nics: Vec<Nic>,
     hosts: Vec<Host>,
+    /// The route table, kept for flow-eligibility checks (a route crossing
+    /// an in-transit host must stay in the packet model). Declared before
+    /// the per-run records on purpose: fields drop in order, so a finished
+    /// cluster frees the table's ~2 small allocations per host pair before
+    /// its large buffers, and the allocator merges them while this cluster
+    /// is torn down rather than inside the next cluster's set-up.
+    // detlint::allow(T003, immutable after construction: shared read-only with every host)
+    table: Arc<RouteTable>,
     // detlint::allow(T003, per-run workload configuration: fixed before the first event and never mutated)
     behaviors: Vec<AppBehavior>,
     ping: Vec<PingPongState>,
@@ -322,13 +330,31 @@ pub struct Cluster {
     delivered_messages: u64,
     next_msg_id: u32,
     next_token: u64,
-    pending_submissions: FxHashMap<u64, PacketDesc>,
+    /// Packets posted but not yet handed to the NIC, by token, with their
+    /// destination host.
+    pending_submissions: FxHashMap<u64, (HostId, PacketDesc)>,
+    /// Per-connection submit clock, keyed `(src, dst)`: the time of the
+    /// last `SubmitPacket` that [`Cluster::pump_conn`] scheduled and that
+    /// has not fired yet. A release starts no earlier than one posting cost
+    /// after it, so back-to-back bursts reach the NIC in sequence order.
+    /// The entry is dropped when that submission fires, keeping the map as
+    /// small as the set of connections with a burst in progress.
+    // detlint::allow(T003, derived from digested state: the latest pending SubmitPacket event pump_conn scheduled per connection)
+    submit_clock: FxHashMap<(u16, u16), SimTime>,
+    /// Reused scratch for [`Cluster::pump_conn`] (packets released by one
+    /// window pump).
+    // detlint::allow(T003, pump_conn scratch: drained to empty before the call returns)
+    release_buf: Vec<QueuedPacket>,
     /// Reused scratch for [`Cluster::pump`] (indications drained per event).
     // detlint::allow(T003, pump scratch: drained to empty before every event completes)
     ind_buf: Vec<HostIndication>,
     /// Reused scratch for [`Cluster::pump`] (NIC outputs drained per event).
     // detlint::allow(T003, pump scratch: drained to empty before every event completes)
     out_buf: Vec<NicOutput>,
+    /// Hosts whose NIC the current event called into (see
+    /// [`Cluster::nic_mut`]); [`Cluster::pump`] drains only these.
+    // detlint::allow(T003, pump scratch: cleared before every event completes)
+    touched: Vec<u16>,
     // detlint::allow(T003, per-run GM protocol configuration: fixed before the first event and never mutated)
     gm: GmConfig,
     // detlint::allow(T003, per-run fault schedule: fixed before the first event; its effects land in digested NIC/host state)
@@ -365,10 +391,6 @@ pub struct Cluster {
     /// every `Sample` event, so steady-state sampling allocates nothing.
     // detlint::allow(T003, observability scratch: refilled from digested state every sample and never read by a transition)
     sample_frame: Option<itb_obs::MetricsFrame>,
-    /// The route table, kept for flow-eligibility checks (a route crossing
-    /// an in-transit host must stay in the packet model).
-    // detlint::allow(T003, immutable after construction: shared read-only with every host)
-    table: Arc<RouteTable>,
     /// Hybrid flow-engine state (None until
     /// [`Cluster::enable_flow_regions`]; its live-flow set is digested).
     flow_mode: Option<FlowMode>,
@@ -435,8 +457,11 @@ impl Cluster {
             next_msg_id: 0,
             next_token: 0,
             pending_submissions: FxHashMap::default(),
+            submit_clock: FxHashMap::default(),
+            release_buf: Vec::new(),
             ind_buf: Vec::new(),
             out_buf: Vec::new(),
+            touched: Vec::new(),
             gm: p.gm,
             crashes: p.faults.crashes,
             connection_failures: Vec::new(),
@@ -1021,7 +1046,7 @@ impl Cluster {
         tokens.sort_unstable();
         d.usize(tokens.len());
         for t in tokens {
-            let desc = &self.pending_submissions[&t];
+            let (_, desc) = &self.pending_submissions[&t];
             d.u64(t);
             let hdr = desc.header.as_bytes();
             d.usize(hdr.len());
@@ -1291,7 +1316,9 @@ impl Cluster {
 
     /// Release window-permitted packets of the `(src, dst)` connection to
     /// the NIC, spaced by the per-packet host cost, and keep the
-    /// retransmission timer armed while anything is outstanding.
+    /// retransmission timer armed while anything is outstanding. A release
+    /// queues behind the connection's earlier submissions that have not
+    /// fired yet (see `submit_clock`).
     fn pump_conn(
         &mut self,
         src: HostId,
@@ -1300,8 +1327,10 @@ impl Cluster {
         fresh_send: bool,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        let released = self.hosts[src.idx()].pump_window(dst, now);
+        let mut released = std::mem::take(&mut self.release_buf);
+        self.hosts[src.idx()].pump_window(dst, now, &mut released);
         if released.is_empty() {
+            self.release_buf = released;
             return;
         }
         let header = self.hosts[src.idx()].header_for(dst);
@@ -1313,24 +1342,36 @@ impl Cluster {
         } else {
             self.gm.o_send_per_packet
         };
-        for (i, pkt) in released.into_iter().enumerate() {
+        let step = self.gm.o_send_per_packet;
+        let mut at = now + base;
+        if let Some(&last) = self.submit_clock.get(&(src.0, dst.0)) {
+            at = at.max(last + step);
+        }
+        let mut last = at;
+        for pkt in released.drain(..) {
             let token = self.next_token;
             self.next_token += 1;
             self.pending_submissions.insert(
                 token,
-                PacketDesc {
-                    header: header.clone(),
-                    payload_len: pkt.payload_len + GM_PKT_OVERHEAD,
-                    tag: pkt.tag,
-                    src,
-                },
+                (
+                    dst,
+                    PacketDesc {
+                        header: header.clone(),
+                        payload_len: pkt.payload_len + GM_PKT_OVERHEAD,
+                        tag: pkt.tag,
+                        src,
+                    },
+                ),
             );
-            let at = now + base + self.gm.o_send_per_packet * (i as u64);
             q.schedule(
                 at,
                 ClusterEvent::Host(HostEvent::SubmitPacket { host: src, token }),
             );
+            last = at;
+            at += step;
         }
+        self.release_buf = released;
+        self.submit_clock.insert((src.0, dst.0), last);
         // Arm the retransmission timer for this connection.
         if self.gm.reliability && !self.hosts[src.idx()].tx[dst.idx()].timer_armed {
             self.hosts[src.idx()].tx[dst.idx()].timer_armed = true;
@@ -1348,9 +1389,19 @@ impl Cluster {
     // Event handling
     // ------------------------------------------------------------------
 
+    /// The NIC of `host` and the network it drives, with `host` recorded
+    /// as touched so [`Cluster::pump`] drains its outputs. Every NIC call
+    /// made while handling an event goes through here.
+    fn nic_mut(&mut self, host: HostId) -> (&mut Nic, &mut Network) {
+        self.touched.push(host.0);
+        (&mut self.nics[host.idx()], &mut self.net)
+    }
+
     /// Route indications and outputs after any net/nic activity. Runs once
-    /// per dispatched event, so the drain buffers are owned by the cluster
-    /// and recycled — the steady-state loop allocates nothing here.
+    /// per dispatched event and drains only the NICs the event touched (as
+    /// the MCP runs only on the NIC whose event fired), so its cost does not
+    /// grow with host count. The drain buffers are owned by the cluster and
+    /// recycled — the steady-state loop allocates nothing here.
     fn pump(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         let mut inds = std::mem::take(&mut self.ind_buf);
         loop {
@@ -1365,17 +1416,25 @@ impl Cluster {
                     | HostIndication::PacketComplete { host, .. }
                     | HostIndication::InjectionComplete { host, .. } => host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].on_indication(ind, now, &mut self.net, &mut sink);
+                let (nic, net) = self.nic_mut(host);
+                nic.on_indication(ind, now, net, &mut Sink(q));
             }
         }
         self.ind_buf = inds;
-        // Collect NIC outputs into the GM layer.
+        // Collect the touched NICs' outputs into the GM layer in ascending
+        // host order, the order a scan over every NIC would produce.
         let mut outs = std::mem::take(&mut self.out_buf);
         outs.clear();
-        for nic in &mut self.nics {
-            nic.drain_outputs_into(&mut outs);
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for &h in &self.touched {
+            self.nics[usize::from(h)].drain_outputs_into(&mut outs);
         }
+        self.touched.clear();
+        debug_assert!(
+            !self.nics.iter().any(Nic::has_outputs),
+            "a NIC produced outputs without being recorded as touched"
+        );
         for out in outs.drain(..) {
             self.on_nic_output(out, now, q);
         }
@@ -1455,9 +1514,17 @@ impl Cluster {
     fn on_host_event(&mut self, ev: HostEvent, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         match ev {
             HostEvent::SubmitPacket { host, token } => {
-                if let Some(desc) = self.pending_submissions.remove(&token) {
-                    let mut sink = Sink(q);
-                    self.nics[host.idx()].submit_send(token, desc, now, &mut self.net, &mut sink);
+                if let Some((dst, desc)) = self.pending_submissions.remove(&token) {
+                    let conn = (host.0, dst.0);
+                    if self
+                        .submit_clock
+                        .get(&conn)
+                        .is_some_and(|&last| last <= now)
+                    {
+                        self.submit_clock.remove(&conn);
+                    }
+                    let (nic, net) = self.nic_mut(host);
+                    nic.submit_send(token, desc, now, net, &mut Sink(q));
                 }
             }
             HostEvent::SendAck { host, to, seq } => {
@@ -1469,8 +1536,8 @@ impl Cluster {
                     tag: PacketMeta::ack(seq).encode(),
                     src: host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].submit_send(token, desc, now, &mut self.net, &mut sink);
+                let (nic, net) = self.nic_mut(host);
+                nic.submit_send(token, desc, now, net, &mut Sink(q));
             }
             HostEvent::AppSend { host } => self.on_app_send(host, now, q),
             HostEvent::AppDeliver {
@@ -1499,9 +1566,9 @@ impl Cluster {
                                 tag: pkt.tag,
                                 src: host,
                             };
-                            self.pending_submissions.insert(token, desc);
+                            self.pending_submissions.insert(token, (pkt.dst, desc));
                             // Stagger resends by the per-packet posting cost,
-                            // exactly like fresh sends in `pump_conn`.
+                            // as `pump_conn` spaces fresh sends.
                             q.schedule_after(
                                 self.gm.o_send_per_packet * (i as u64 + 1),
                                 ClusterEvent::Host(HostEvent::SubmitPacket { host, token }),
@@ -1523,18 +1590,20 @@ impl Cluster {
             }
             HostEvent::NicCrash { host } => {
                 self.crashes_injected += 1;
-                let mut sink = Sink(q);
-                self.nics[host.idx()].crash(now, &mut self.net, &mut sink);
+                let (nic, net) = self.nic_mut(host);
+                nic.crash(now, net, &mut Sink(q));
             }
             HostEvent::NicRecover { host } => {
-                self.nics[host.idx()].recover();
+                self.nic_mut(host).0.recover();
             }
         }
     }
 
     fn on_app_send(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
-        match self.behaviors[host.idx()].clone() {
-            AppBehavior::PingPong { peer, sizes, .. } => {
+        match self.behaviors[host.idx()] {
+            AppBehavior::PingPong {
+                peer, ref sizes, ..
+            } => {
                 let st = &mut self.ping[host.idx()];
                 if st.done || st.size_ix >= sizes.len() {
                     st.done = true;
@@ -1639,12 +1708,12 @@ impl Cluster {
         }
         self.app_deliveries += 1;
         self.delivery_log.push((from, host, msg_id));
-        match self.behaviors[host.idx()].clone() {
+        match self.behaviors[host.idx()] {
             AppBehavior::Echo => {
                 self.send_message(host, from, len, now, q);
             }
             AppBehavior::PingPong {
-                sizes,
+                ref sizes,
                 iters,
                 warmup,
                 ..
@@ -1685,8 +1754,8 @@ impl World for Cluster {
                 let host = match e {
                     NicEvent::Cpu { host, .. } | NicEvent::Dma { host, .. } => host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].handle(now, e, &mut self.net, &mut sink);
+                let (nic, net) = self.nic_mut(host);
+                nic.handle(now, e, net, &mut Sink(q));
             }
             ClusterEvent::Host(e) => self.on_host_event(e, now, q),
             ClusterEvent::Sample => self.on_sample(now, q),

@@ -212,8 +212,9 @@ impl Host {
     /// (GM's send-token flow control). Released packets are registered as
     /// unacknowledged with `sent_at = now`, so the retransmission timer
     /// measures actual network time, never queueing time. With reliability
-    /// off the window is unbounded.
-    pub fn pump_window(&mut self, dst: HostId, now: SimTime) -> Vec<QueuedPacket> {
+    /// off the window is unbounded. The released packets are appended to
+    /// `out`, a buffer the caller reuses across calls.
+    pub fn pump_window(&mut self, dst: HostId, now: SimTime, out: &mut Vec<QueuedPacket>) {
         let window = if self.cfg.reliability {
             self.cfg.send_window as usize
         } else {
@@ -222,9 +223,8 @@ impl Host {
         let reliability = self.cfg.reliability;
         let conn = &mut self.tx[dst.idx()];
         if conn.failed {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         while conn.unacked.len() < window {
             let Some(pkt) = conn.send_queue.pop_front() else {
                 break;
@@ -241,7 +241,6 @@ impl Host {
             }
             out.push(pkt);
         }
-        out
     }
 
     /// Process an incoming DATA packet from `from`.
@@ -423,10 +422,17 @@ mod tests {
         Host::new(HostId(id), cfg, routes, 2)
     }
 
+    /// Release what the window allows into a fresh buffer.
+    fn pump(h: &mut Host, dst: HostId, now: SimTime) -> Vec<QueuedPacket> {
+        let mut out = Vec::new();
+        h.pump_window(dst, now, &mut out);
+        out
+    }
+
     /// Segment and immediately pump everything the window allows.
     fn seg_pump(h: &mut Host, dst: HostId, len: u32, msg: u32) -> Vec<QueuedPacket> {
         h.segment_message(dst, len, msg);
-        h.pump_window(dst, SimTime::ZERO)
+        pump(h, dst, SimTime::ZERO)
     }
 
     #[test]
@@ -473,15 +479,15 @@ mod tests {
         let mut h = mk_host(0);
         // 12 packets queued; default window is 8.
         h.segment_message(HostId(1), 4096 * 12, 9);
-        let first = h.pump_window(HostId(1), SimTime::ZERO);
+        let first = pump(&mut h, HostId(1), SimTime::ZERO);
         assert_eq!(first.len(), 8);
         assert_eq!(h.tx[1].unacked.len(), 8);
         assert_eq!(h.tx[1].send_queue.len(), 4);
         // Nothing more until acks arrive.
-        assert!(h.pump_window(HostId(1), SimTime::ZERO).is_empty());
+        assert!(pump(&mut h, HostId(1), SimTime::ZERO).is_empty());
         // Ack 3 packets -> 3 more released.
         h.on_ack(HostId(1), 2);
-        let more = h.pump_window(HostId(1), SimTime::from_us(50));
+        let more = pump(&mut h, HostId(1), SimTime::from_us(50));
         assert_eq!(more.len(), 3);
         assert_eq!(h.tx[1].unacked.len(), 8);
         assert_eq!(h.tx[1].send_queue.len(), 1);
@@ -491,10 +497,10 @@ mod tests {
     fn sent_at_stamped_at_release_not_segmentation() {
         let mut h = mk_host(0);
         h.segment_message(HostId(1), 4096 * 12, 1);
-        h.pump_window(HostId(1), SimTime::ZERO);
+        pump(&mut h, HostId(1), SimTime::ZERO);
         h.on_ack(HostId(1), 7); // clear the first window
         let released_at = SimTime::from_us(900);
-        h.pump_window(HostId(1), released_at);
+        pump(&mut h, HostId(1), released_at);
         // Packets released late are NOT due at the 1 ms mark measured from
         // segmentation time.
         assert!(h
@@ -574,7 +580,7 @@ mod tests {
         // Start the connection just below the wrap point.
         h.tx[1].next_seq = u32::MAX - 1;
         h.segment_message(HostId(1), 4096 * 4, 1); // seqs MAX-1, MAX, 0, 1
-        h.pump_window(HostId(1), SimTime::ZERO);
+        pump(&mut h, HostId(1), SimTime::ZERO);
         assert_eq!(h.tx[1].unacked.len(), 4);
         // Cumulative ACK of u32::MAX must clear exactly the first two
         // packets (the old `split_off(&(acked + 1))` overflowed here).
@@ -663,7 +669,7 @@ mod tests {
         let mut h = mk_host_cfg(0, cfg);
         // 12 packets: 8 in flight, 4 queued behind the window.
         h.segment_message(HostId(1), 4096 * 12, 1);
-        h.pump_window(HostId(1), SimTime::ZERO);
+        pump(&mut h, HostId(1), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let mut failed = None;
         for _ in 0..10 {
@@ -682,7 +688,7 @@ mod tests {
         assert!(!h.has_unacked(HostId(1)));
         // A dead connection accepts no further traffic and never resends.
         h.segment_message(HostId(1), 100, 2);
-        assert!(h.pump_window(HostId(1), now).is_empty());
+        assert!(pump(&mut h, HostId(1), now).is_empty());
         assert_eq!(
             h.check_retransmissions(HostId(1), now + SimDuration::from_ms(100)),
             RetransDecision::Idle
@@ -736,7 +742,7 @@ mod tests {
         };
         let mut h = Host::new(HostId(0), cfg, routes, 2);
         h.segment_message(HostId(1), 4096 * 20, 1);
-        let pkts = h.pump_window(HostId(1), SimTime::ZERO);
+        let pkts = pump(&mut h, HostId(1), SimTime::ZERO);
         assert_eq!(pkts.len(), 20, "no window without reliability");
         assert!(!h.has_unacked(HostId(1)));
     }

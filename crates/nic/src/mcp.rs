@@ -279,6 +279,11 @@ impl Nic {
         buf.append(&mut self.outputs);
     }
 
+    /// Whether outputs are waiting to be drained.
+    pub fn has_outputs(&self) -> bool {
+        !self.outputs.is_empty()
+    }
+
     /// Occupy the CPU for `cycles` starting no earlier than `now`; returns
     /// the completion time. While the host DMA moves data, the processor —
     /// the lowest-priority SRAM master — is slowed by the configured

@@ -118,19 +118,24 @@ impl Eq for Header {}
 impl Header {
     /// Wrap already-encoded header bytes (tests, captured wire data).
     pub fn from_bytes(bytes: &[u8]) -> Header {
-        let repr = if bytes.len() <= INLINE_CAP {
+        Header::filled(bytes.len(), |buf| buf.copy_from_slice(bytes))
+    }
+
+    /// A `len`-byte header whose bytes `fill` writes in place: inline up to
+    /// [`INLINE_CAP`], on the heap above it.
+    fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Header {
+        let repr = if len <= INLINE_CAP {
             let mut buf = [0u8; INLINE_CAP];
-            buf[..bytes.len()].copy_from_slice(bytes);
+            fill(&mut buf[..len]);
             Repr::Inline {
                 start: 0,
-                len: narrow(bytes.len()),
+                len: narrow(len),
                 buf,
             }
         } else {
-            Repr::Heap {
-                start: 0,
-                bytes: bytes.to_vec(),
-            }
+            let mut bytes = vec![0u8; len];
+            fill(&mut bytes);
+            Repr::Heap { start: 0, bytes }
         };
         Header { repr }
     }
@@ -163,31 +168,25 @@ impl Header {
     /// assert_eq!(header.len(), 4);
     /// ```
     pub fn encode(route: &SourceRoute) -> Header {
-        let mut bytes = Vec::new();
-        let last = route.segments.len() - 1;
-        // Work out each trailing group's length first (the Length byte counts
-        // the header bytes that follow it, so build back-to-front).
-        let mut tail: Vec<u8> = Vec::new();
-        // Final type comes last before payload.
-        for (i, seg) in route.segments.iter().enumerate().rev() {
-            let mut group: Vec<u8> = seg.hops.iter().map(|h| route_byte(h.out_port)).collect();
-            if i == last {
-                group.extend_from_slice(&TYPE_GM.to_be_bytes());
+        let hops: usize = route.segments.iter().map(|s| s.hops.len()).sum();
+        let total = hops + 3 * (route.segments.len() - 1) + 2;
+        // Written front to back in place: each Length byte counts the header
+        // bytes after it, which is `total` minus its own end position.
+        Header::filled(total, |buf| {
+            let mut at = 0;
+            for (i, seg) in route.segments.iter().enumerate() {
+                if i > 0 {
+                    buf[at..at + 2].copy_from_slice(&TYPE_ITB.to_be_bytes());
+                    buf[at + 2] = narrow(total - (at + 3));
+                    at += 3;
+                }
+                for hop in &seg.hops {
+                    buf[at] = route_byte(hop.out_port);
+                    at += 1;
+                }
             }
-            if i > 0 {
-                // Prefix the ITB tag + remaining-length for this segment.
-                let remaining: u8 = narrow(group.len() + tail.len());
-                let mut pre = TYPE_ITB.to_be_bytes().to_vec();
-                pre.push(remaining);
-                pre.extend(group);
-                group = pre;
-            }
-            let mut combined = group;
-            combined.extend(std::mem::take(&mut tail));
-            tail = combined;
-        }
-        bytes.extend(tail);
-        Header::from_bytes(&bytes)
+            buf[at..].copy_from_slice(&TYPE_GM.to_be_bytes());
+        })
     }
 
     /// The raw header bytes (those not yet consumed by switches / ITB NICs).

@@ -76,6 +76,21 @@ ITB_RESULTS_DIR="$perf_a" cargo run --release -q -p itb-bench --bin perf_gauntle
 ITB_RESULTS_DIR="$perf_b" cargo run --release -q -p itb-bench --bin perf_gauntlet -- --smoke
 cmp "$perf_a/perf_gauntlet_digest.json" "$perf_b/perf_gauntlet_digest.json"
 
+echo "== ledger correctness (every workload matches its committed digest) =="
+# One short untraced ledger run per workload at seed 1. Each must report
+# "correct": true (its event, route and delivery digest equals the one in
+# ledger/results/digests.txt) and "failed": 0. The cluster's check that
+# every NIC holding outputs was drained is a debug assertion, so this is
+# the release-build guard on the same event order.
+for w in pingpong_fig6_itb poisson_128sw_itb stream_64sw_updown_4k hybrid_32sw_updown flows_1024sw; do
+  out=$(cargo run --release -q --offline --manifest-path ledger/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  case "$out" in
+    *'"correct": true'*'"failed": 0,'*) echo "   $w: correct" ;;
+    *) echo "ledger $w: not correct: $out" >&2; exit 1 ;;
+  esac
+done
+
 echo "== perf-regression gate (BENCH_perf.json trajectory) =="
 # Newest committed trajectory entry vs the one before it: any scenario
 # whose events/sec dropped >20% fails the build. Intentional re-baselines

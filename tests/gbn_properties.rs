@@ -104,8 +104,9 @@ fn exchange(start_seq: u32, sizes: &[u32], schedule: Vec<u8>) -> (Vec<(u32, u32)
         rounds += 1;
         assert!(rounds < 2000, "exchange failed to converge");
 
-        let mut outbound: Vec<Wire> = sender
-            .pump_window(RECEIVER, now)
+        let mut released = Vec::new();
+        sender.pump_window(RECEIVER, now, &mut released);
+        let mut outbound: Vec<Wire> = released
             .into_iter()
             .map(|p| Wire::Data {
                 payload_len: p.payload_len,
