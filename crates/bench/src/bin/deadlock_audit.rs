@@ -1,6 +1,6 @@
 //! Static deadlock-freedom audit of every route set the repo ships.
 //!
-//! For each builder topology (the Figure 6 testbed, the gauntlet's
+//! For each builder topology (the Figure 6 testbed, the seed-1 16/32/64-switch
 //! irregular presets, the 64-switch evaluation network) plus a freshly
 //! generated 1024-switch irregular fabric, this bin builds the up*/down*
 //! and ITB route sets and checks the Dally & Seitz channel dependency

@@ -863,7 +863,7 @@ impl Cluster {
             // Frame path: refill the reusable value buffer in place and feed
             // both observers positionally. Zero allocations in steady state
             // (the schema's names were built once, at the first sample) —
-            // this is what keeps sampled gauntlet runs at full throughput.
+            // this is what keeps sampled load runs at full throughput.
             let schema = self.sample_schema();
             let mut frame = self
                 .sample_frame

@@ -37,7 +37,7 @@
 //!
 //! D002 additionally flags `std::env::var`/`env!` in sim-side code:
 //! environment-dependent behaviour is cross-machine nondeterminism. Benches
-//! stay exempt (`ITB_THREADS` is how the perf harness sweeps shard counts).
+//! stay exempt (`ITB_THREADS` is how `pdes_smoke` picks its shard count).
 //!
 //! The flow/taint rules **T001**–**T003** live in [`crate::taint`] and run
 //! over the workspace call graph rather than single files; their ids are
@@ -107,8 +107,9 @@ pub fn is_sim_side(krate: &str) -> bool {
 }
 
 /// Classify a workspace-relative path, or `None` if detlint does not scan it
-/// (vendor stubs emulate external crates' APIs — `criterion` legitimately
-/// reads `Instant` — and fixture corpora contain deliberate violations).
+/// (vendor stubs emulate external crates' APIs — the `rayon` shim
+/// legitimately reads `ITB_THREADS` — and fixture corpora contain
+/// deliberate violations).
 pub fn classify(path: &str) -> Option<FileClass> {
     if !path.ends_with(".rs") {
         return None;
@@ -441,7 +442,7 @@ fn check_d002(class: &FileClass, lexed: &Lexed, out: &mut Vec<Finding>) {
         // Environment reads in sim-side code: `env::var`/`env::var_os` and
         // the `env!`/`option_env!` macros make behaviour depend on the host
         // environment — cross-machine nondeterminism. Benches are exempt
-        // (ITB_THREADS is the sanctioned perf-harness knob), as is the
+        // (ITB_THREADS is the sanctioned pdes_smoke knob), as is the
         // non-sim bench crate itself.
         let env_exempt = class.kind == FileKind::Bench
             || class.krate == "bench"

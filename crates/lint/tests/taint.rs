@@ -144,7 +144,7 @@ fn d002_env_spares_lookalikes_allows_and_benches() {
     let fs = lint_fixture("crates/sim/src/cfgload.rs", "d002_env_neg.rs");
     assert!(unallowed(&fs, "D002").is_empty(), "{fs:?}");
     // The same positive corpus under a bench path is exempt wholesale
-    // (ITB_THREADS is the sanctioned perf-harness knob).
+    // (ITB_THREADS is the sanctioned pdes_smoke knob).
     let fs = lint_fixture("crates/sim/benches/threads.rs", "d002_env_pos.rs");
     assert!(unallowed(&fs, "D002").is_empty(), "{fs:?}");
     let fs = lint_fixture("crates/bench/src/lib.rs", "d002_env_pos.rs");

@@ -274,7 +274,7 @@ impl FlowNet {
     /// it freezes. Total cost is `O(Σ route length · log channels)` per
     /// solve instead of the naive `O(bottleneck levels × active flows)`,
     /// which is the difference between milliseconds and minutes at the
-    /// 100k-flow gauntlet scale.
+    /// 100k-flow scale of the 1024-switch flow benchmark.
     ///
     /// Determinism: heap order is `f64::total_cmp` on the saturation
     /// level with ties to the lowest channel index, per-channel flow

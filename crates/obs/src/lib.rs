@@ -1,8 +1,8 @@
 //! # itb-obs — observability for the ITB/Myrinet reproduction
 //!
-//! One crate unifies what used to be three ad-hoc mechanisms (the NIC's
-//! private `sim::trace::Trace` ring, the network's per-packet timeline notes
-//! and the scattered `NetStats`/`NicStats` counters):
+//! One crate unifies what used to be three ad-hoc mechanisms (a per-NIC
+//! free-form trace ring, the network's per-packet timeline notes and the
+//! scattered `NetStats`/`NicStats` counters):
 //!
 //! * [`PacketTracer`] — a bounded, disabled-by-default recorder of typed
 //!   packet-lifecycle [`Stage`] events (`host.inject`, `mcp.early_recv`,

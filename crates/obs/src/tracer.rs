@@ -19,10 +19,10 @@ pub struct StageEvent {
 
 /// A bounded recorder of [`StageEvent`]s, disabled by default.
 ///
-/// This is the typed successor of `itb_sim::trace::Trace`: the same
-/// cheap-when-disabled branch, capacity bound and dropped-record accounting,
-/// but with machine-readable stages and packet ids instead of free-form
-/// strings, shared by every layer of the stack rather than owned per-NIC.
+/// Hot paths pay one branch while it is disabled; when enabled it keeps at
+/// most its capacity of records and counts the ones it drops. Records carry
+/// machine-readable stages and packet ids, and one tracer is shared by
+/// every layer of the stack.
 #[derive(Debug, Clone)]
 pub struct PacketTracer {
     enabled: bool,

@@ -15,8 +15,8 @@
 //!   maps (no SipHash cost, no per-process iteration-order randomness).
 //! * [`World`] / [`run_until`] — the minimal event-loop contract used by the
 //!   integrated cluster simulator in `itb-gm`.
-//! * [`stats`] — streaming accumulators, histograms and (x, y) series used by
-//!   the experiment harness.
+//! * [`stats`] — streaming accumulators, quantile estimators and (x, y)
+//!   series used by the experiment harness.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256**) so simulation
 //!   reproducibility does not depend on the `rand` crate's internals.
 
@@ -32,7 +32,6 @@ pub mod rate;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use digest::Digest;
 pub use engine::{run_for, run_until, run_while, World};

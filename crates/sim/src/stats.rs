@@ -202,80 +202,6 @@ impl Serialize for Accum {
 
 impl Deserialize for Accum {}
 
-/// Fixed-width-bin histogram with overflow bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// `nbins` bins of `width` starting at `lo`.
-    pub fn new(lo: f64, width: f64, nbins: usize) -> Self {
-        assert!(width > 0.0 && nbins > 0);
-        Histogram {
-            lo,
-            width,
-            bins: vec![0; nbins],
-            overflow: 0,
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record a sample.
-    // The bucket index is range-checked against bins.len() right after the cast.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-    /// Samples below range / above range / total.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.underflow, self.overflow, self.total)
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) from bin midpoints.
-    // ceil(q * total) with q in [0, 1] stays within the sample count.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return self.lo;
-        }
-        for (i, &c) in self.bins.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return self.lo + (i as f64 + 0.5) * self.width;
-            }
-        }
-        self.lo + self.width * self.bins.len() as f64
-    }
-}
-
 /// A named (x, y) series — the unit of figure reproduction. Each paper curve
 /// ("Original MCP code", "UD-ITB", …) becomes one `Series`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -461,40 +387,6 @@ impl P2Quantile {
     }
 }
 
-/// Throughput meter: counts payload bytes delivered over a window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RateMeter {
-    bytes: u64,
-    messages: u64,
-}
-
-impl RateMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Record one delivered message of `bytes` payload bytes.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-        self.messages += 1;
-    }
-    /// Total payload bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-    /// Total messages recorded.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-    /// Rate in bytes per second over `window`.
-    pub fn bytes_per_sec(&self, window: SimDuration) -> f64 {
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 / (window.as_ps() as f64 / 1e12)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,23 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for i in 0..100 {
-            h.add(i as f64 / 10.0); // 0.0 .. 9.9 uniformly
-        }
-        assert_eq!(h.bin(0), 10);
-        let (u, o, t) = h.counts();
-        assert_eq!((u, o, t), (0, 0, 100));
-        let med = h.quantile(0.5);
-        assert!((med - 4.5).abs() <= 0.5, "median={med}");
-        h.add(-1.0);
-        h.add(100.0);
-        let (u, o, _) = h.counts();
-        assert_eq!((u, o), (1, 1));
-    }
-
-    #[test]
     fn series_difference() {
         let mut a = Series::new("a");
         let mut b = Series::new("b");
@@ -697,17 +572,5 @@ mod tests {
         }
         let est = q.estimate();
         assert!((est - 9000.0).abs() < 250.0, "p90 of 0..10000: {est}");
-    }
-
-    #[test]
-    fn rate_meter() {
-        let mut m = RateMeter::new();
-        m.record(1000);
-        m.record(1000);
-        assert_eq!(m.bytes(), 2000);
-        assert_eq!(m.messages(), 2);
-        let bps = m.bytes_per_sec(SimDuration::from_us(1));
-        assert!((bps - 2e9).abs() < 1.0, "bps={bps}");
-        assert_eq!(m.bytes_per_sec(SimDuration::ZERO), 0.0);
     }
 }

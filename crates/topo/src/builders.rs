@@ -386,7 +386,7 @@ pub fn clos(leaves: usize, spines: usize, hosts_per_leaf: usize) -> Topology {
 
 /// Canonical seed of the [`irregular1024`] planet-scale preset (recorded
 /// like [`IRREGULAR64_SEED`]; deliberately equal to the deadlock audit's
-/// fresh-fabric seed so the hybrid gauntlet exercises wiring the static
+/// fresh-fabric seed so the flow-engine benchmark exercises wiring the static
 /// audit has already proven deadlock-free — but with the evaluation host
 /// density, see [`irregular_big`]).
 pub const IRREGULAR1024_SEED: u64 = 1024;
@@ -399,9 +399,9 @@ pub fn irregular_big(switches: usize, seed: u64) -> Topology {
     random_irregular(&IrregularSpec::evaluation_default(switches, seed))
 }
 
-/// The 1024-switch, 4096-host irregular preset used by the
-/// `large_load_1024sw` hybrid gauntlet scenario: [`irregular_big`] at the
-/// recorded [`IRREGULAR1024_SEED`].
+/// The 1024-switch, 4096-host irregular preset used by the ledger's
+/// `flows_1024sw` flow-engine workload: [`irregular_big`] at the recorded
+/// [`IRREGULAR1024_SEED`].
 pub fn irregular1024() -> Topology {
     irregular_big(1024, IRREGULAR1024_SEED)
 }
@@ -437,11 +437,11 @@ impl IrregularSpec {
 /// benchmark and any external reproduction build the identical wiring.
 pub const IRREGULAR64_SEED: u64 = 64;
 
-/// The 64-switch irregular network used by the parallel-scaling benchmark
-/// (`large_load_64sw_par`): [`IrregularSpec::evaluation_default`] geometry
-/// (8-port switches, 4 hosts each → 256 hosts) built from a fixed, recorded
-/// seed. A preset rather than an ad-hoc call site so every consumer —
-/// gauntlet, tests, docs — means the same reproducible topology.
+/// The 64-switch irregular evaluation network the deadlock audit checks:
+/// [`IrregularSpec::evaluation_default`] geometry (8-port switches, 4 hosts
+/// each → 256 hosts) built from a fixed, recorded seed. A preset rather
+/// than an ad-hoc call site so every consumer — audit, tests, docs — means
+/// the same reproducible topology.
 pub fn irregular64() -> Topology {
     random_irregular(&IrregularSpec::evaluation_default(64, IRREGULAR64_SEED))
 }

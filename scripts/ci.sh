@@ -43,8 +43,6 @@ cargo fmt --check
 echo "== chaos smoke (seeded faults, exactly-once) =="
 chaos_a=$(mktemp -d)
 chaos_b=$(mktemp -d)
-perf_a=$(mktemp -d)
-perf_b=$(mktemp -d)
 par_a=$(mktemp -d)
 par_b=$(mktemp -d)
 stall_a=$(mktemp -d)
@@ -52,7 +50,7 @@ mc_a=$(mktemp -d)
 mc_b=$(mktemp -d)
 dl_a=$(mktemp -d)
 dl_b=$(mktemp -d)
-trap 'rm -rf "$chaos_a" "$chaos_b" "$perf_a" "$perf_b" "$par_a" "$par_b" "$stall_a" "$mc_a" "$mc_b" "$dl_a" "$dl_b"' EXIT
+trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$mc_a" "$mc_b" "$dl_a" "$dl_b"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
@@ -68,14 +66,6 @@ cmp "$chaos_a/health_report.json" "$chaos_b/health_report.json"
 echo "== health stall self-test (watchdog must flag an unroutable fabric) =="
 ITB_RESULTS_DIR="$stall_a" cargo run --release -q -p itb-bench --bin health_stall
 
-echo "== perf smoke (tiny gauntlet, deterministic digest twice) =="
-# Wall-clock numbers vary run to run; the digest holds only sim-side facts
-# (event counts, sim time, deliveries) and must be byte-identical — any
-# difference means an engine change perturbed event order.
-ITB_RESULTS_DIR="$perf_a" cargo run --release -q -p itb-bench --bin perf_gauntlet -- --smoke
-ITB_RESULTS_DIR="$perf_b" cargo run --release -q -p itb-bench --bin perf_gauntlet -- --smoke
-cmp "$perf_a/perf_gauntlet_digest.json" "$perf_b/perf_gauntlet_digest.json"
-
 echo "== ledger correctness (every workload matches its committed digest) =="
 # One short untraced ledger run per workload at seed 1. Each must report
 # "correct": true (its event, route and delivery digest equals the one in
@@ -90,13 +80,6 @@ for w in pingpong_fig6_itb poisson_128sw_itb stream_64sw_updown_4k hybrid_32sw_u
     *) echo "ledger $w: not correct: $out" >&2; exit 1 ;;
   esac
 done
-
-echo "== perf-regression gate (BENCH_perf.json trajectory) =="
-# Newest committed trajectory entry vs the one before it: any scenario
-# whose events/sec dropped >20% fails the build. Intentional re-baselines
-# (new machine, redefined scenario) acknowledge the drop explicitly with
-# ITB_BENCH_BASELINE_RESET=1 rather than by loosening the tolerance.
-cargo run --release -q -p itb-bench --bin perf_gate
 
 echo "== model check smoke (exhaustive interleavings, zero violations) =="
 # Depth-bounded exhaustive BFS over delivery/fault interleavings on the
@@ -121,14 +104,14 @@ cmp "$dl_a/deadlock_audit.json" "$dl_b/deadlock_audit.json"
 
 echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 # The sharded conservative-PDES engine must reproduce the sequential event
-# order exactly on the gauntlet workloads: same scenarios, 1 thread vs 4
-# shards, digest byte-compare. This gate runs on ANY core count — the
+# order exactly on the pdes_smoke load scenarios: the sequential reference
+# vs 4 shards, digest byte-compare. This gate runs on ANY core count — the
 # workers synchronize on barriers, so a 4-shard run on fewer than 4 cores
 # is merely slow (the smoke workloads are tiny), never incorrect; skipping
 # here on small boxes previously left the cross-process contract unchecked
 # on the very machines producing committed results.
-ITB_RESULTS_DIR="$par_a" ITB_THREADS=1 cargo run --release -q -p itb-bench --bin perf_gauntlet -- --smoke
-ITB_RESULTS_DIR="$par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench --bin perf_gauntlet -- --smoke
-cmp "$par_a/perf_gauntlet_digest.json" "$par_b/perf_gauntlet_digest.json"
+ITB_RESULTS_DIR="$par_a" ITB_THREADS=1 cargo run --release -q -p itb-bench --bin pdes_smoke
+ITB_RESULTS_DIR="$par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench --bin pdes_smoke
+cmp "$par_a/pdes_smoke_digest.json" "$par_b/pdes_smoke_digest.json"
 
 echo "CI OK"

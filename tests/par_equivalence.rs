@@ -1,7 +1,7 @@
 //! Parallel/sequential equivalence: the sharded conservative-PDES engine
 //! must reproduce the sequential run exactly, for any shard count, on every
 //! workload that reports zero cross-shard rank ties. Beyond the aggregate
-//! totals the perf-gauntlet digest records (and `scripts/ci.sh`
+//! totals the `pdes_smoke` digest records (and `scripts/ci.sh`
 //! byte-compares), the checks here are order-sensitive: the per-shard
 //! application delivery logs must equal the sequential delivery log
 //! attributed to each receiver's owner shard, and the full per-message
@@ -19,15 +19,15 @@
 //!   wolf), and the run must still be reproducible;
 //! * the 32-switch Poisson workload, where ties occur at scale yet every
 //!   order-sensitive observable still matches sequential — the empirical
-//!   fact the CI digest gate relies on for the large gauntlet scenarios.
+//!   fact the CI digest gate relies on for the `pdes_smoke` load scenarios.
 
 use itb_myrinet::core::{ClusterSpec, RoutingPolicy};
 use itb_myrinet::gm::{run_cluster_shards, AppBehavior, Cluster, ParRunReport, ShardCluster};
 use itb_myrinet::sim::{run_until, EventQueue, SimDuration, SimTime};
 use itb_myrinet::topo::{partition, Partition};
 
-/// Aggregate digest of one run: everything the perf-gauntlet digest
-/// records about a load scenario.
+/// Aggregate digest of one run: everything the `pdes_smoke` digest records
+/// about a load scenario.
 #[derive(Debug, PartialEq, Eq)]
 struct Digest {
     events: u64,
@@ -297,7 +297,7 @@ fn tie_heavy_synchronized_streams_are_flagged_and_reproducible() {
 }
 
 /// Ties at scale, the other way round: the 32-switch Poisson load — the
-/// same family as the large perf-gauntlet scenarios — produces hundreds of
+/// same family as the `pdes_smoke` load scenarios — produces hundreds of
 /// cross-shard rank ties (302 for this seed/horizon), yet every
 /// order-sensitive observable still matches sequential: the tied events
 /// commute in effect (distinct flits meeting at a switch in the same
