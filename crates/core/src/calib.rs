@@ -4,11 +4,11 @@
 use itb_gm::GmConfig;
 use itb_net::NetConfig;
 use itb_nic::McpTiming;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete timing calibration: physical layer, NIC firmware, host
 /// software.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Calibration {
     /// Link / switch / flow-control constants.
     pub net: NetConfig,

@@ -179,7 +179,7 @@ fn chain_segment(
 }
 
 /// One stage of a packet's end-to-end latency.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct BreakdownStage {
     /// Stage label.
     pub stage: String,
@@ -340,7 +340,7 @@ pub fn traced_one_way(size: u32, via_itb: bool) -> TracedRun {
 }
 
 /// One point of a one-way streaming bandwidth sweep.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct BandwidthPoint {
     /// Message size in bytes.
     pub size: u32,
@@ -396,7 +396,7 @@ pub fn stream_bandwidth(
 }
 
 /// Result of a total-exchange run.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct ExchangeResult {
     /// Wall (simulated) time from first send to last delivery, µs.
     pub makespan_us: f64,

@@ -1,10 +1,10 @@
 //! Serializable experiment results.
 
 use itb_sim::stats::{Accum, Series};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One message size in a latency sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatencyPoint {
     /// Message size in bytes.
     pub size: u32,
@@ -13,7 +13,7 @@ pub struct LatencyPoint {
 }
 
 /// A full `gm_allsize`-style latency sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatencyReport {
     /// Configuration label ("Original MCP code", "UD-ITB", …).
     pub label: String,
@@ -35,7 +35,7 @@ impl LatencyReport {
 
 /// The Figure 7 reproduction: original versus ITB-enabled MCP on the same
 /// up\*/down\* path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig7Result {
     /// Latency sweep under the stock MCP.
     pub original: LatencyReport,
@@ -64,7 +64,7 @@ impl Fig7Result {
 
 /// The Figure 8 reproduction: 5-crossing up\*/down\* path versus 5-crossing
 /// path through one in-transit buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig8Result {
     /// Plain up\*/down\* path (the "UD" curve).
     pub ud: LatencyReport,
@@ -105,7 +105,7 @@ impl Fig8Result {
 }
 
 /// Headline numbers of the Figure 8 reproduction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Fig8Summary {
     /// Mean per-ITB latency cost (paper: ≈1.3 µs).
     pub mean_overhead_us: f64,
@@ -116,7 +116,7 @@ pub struct Fig8Summary {
 }
 
 /// One offered-load point of a loaded-network sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LoadPoint {
     /// Offered traffic per host, MB/s.
     pub offered_mb_s: f64,

@@ -2,10 +2,10 @@
 
 use itb_sim::SimDuration;
 use itb_topo::HostId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a host's application does.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum AppBehavior {
     /// Passive: consume messages, do nothing.
     Sink,

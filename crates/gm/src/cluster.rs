@@ -130,7 +130,7 @@ pub enum ClusterEvent {
     /// Host-layer event.
     Host(HostEvent),
     /// Periodic observability tick: feed the timeline sampler and health
-    /// monitors one metrics snapshot, then reschedule. Scheduled only when
+    /// monitors one metrics frame, then reschedule. Scheduled only when
     /// sampling is enabled (see [`Cluster::enable_timeline`] /
     /// [`Cluster::enable_health`]); sim-time-driven, so sampled runs stay
     /// deterministic.
@@ -300,6 +300,50 @@ pub struct ClusterParams {
     pub seed: u64,
 }
 
+/// The cluster's sampling observers over a run's life.
+enum Observing {
+    /// What [`Cluster::enable_timeline`] and [`Cluster::enable_health`]
+    /// asked for; nothing is built before [`Cluster::start`].
+    Planned(itb_obs::ObserverPlan),
+    /// Built by [`Cluster::start`] over the final metric schema.
+    Running(Box<itb_obs::Observers>),
+}
+
+impl Default for Observing {
+    fn default() -> Self {
+        Observing::Planned(itb_obs::ObserverPlan::default())
+    }
+}
+
+impl Observing {
+    /// The sampling cadence (None when nothing is observed).
+    fn every(&self) -> Option<SimDuration> {
+        match self {
+            Observing::Planned(p) => p.every(),
+            Observing::Running(o) => Some(o.every()),
+        }
+    }
+
+    fn plan(&mut self) -> &mut itb_obs::ObserverPlan {
+        match self {
+            Observing::Planned(p) => p,
+            Observing::Running(_) => {
+                // detlint::allow(S001, documented precondition of enable_timeline/enable_health)
+                panic!("observers are built at Cluster::start; enable them before it")
+            }
+        }
+    }
+
+    /// Build the planned observers over `schema`.
+    fn start(&mut self, schema: Arc<itb_obs::MetricsSchema>) {
+        if let Observing::Planned(p) = self {
+            if let Some(o) = std::mem::take(p).build(schema) {
+                *self = Observing::Running(Box::new(o));
+            }
+        }
+    }
+}
+
 /// The complete simulated Myrinet cluster.
 pub struct Cluster {
     /// The wormhole network.
@@ -334,12 +378,13 @@ pub struct Cluster {
     /// destination host.
     pending_submissions: FxHashMap<u64, (HostId, PacketDesc)>,
     /// Per-connection submit clock, keyed `(src, dst)`: the time of the
-    /// last `SubmitPacket` that [`Cluster::pump_conn`] scheduled and that
-    /// has not fired yet. A release starts no earlier than one posting cost
-    /// after it, so back-to-back bursts reach the NIC in sequence order.
-    /// The entry is dropped when that submission fires, keeping the map as
-    /// small as the set of connections with a burst in progress.
-    // detlint::allow(T003, derived from digested state: the latest pending SubmitPacket event pump_conn scheduled per connection)
+    /// last `SubmitPacket` that [`Cluster::schedule_submissions`] scheduled
+    /// and that has not fired yet. A release or resend starts no earlier
+    /// than one posting cost after it, so back-to-back bursts reach the NIC
+    /// in the order they were scheduled. The entry is dropped when that
+    /// submission fires, keeping the map as small as the set of
+    /// connections with a burst in progress.
+    // detlint::allow(T003, derived from digested state: the latest pending SubmitPacket event scheduled per connection)
     submit_clock: FxHashMap<(u16, u16), SimTime>,
     /// Reused scratch for [`Cluster::pump_conn`] (packets released by one
     /// window pump).
@@ -372,25 +417,9 @@ pub struct Cluster {
     /// Sharded-run identity (None = sequential; see [`Cluster::set_shard`]).
     // detlint::allow(T003, partition identity: fixed at shard setup; the PDES contract proves shard layout cannot change sim facts)
     shard: Option<GmShardInfo>,
-    /// Sim-time timeline sampler (None until [`Cluster::enable_timeline`]).
+    /// Timeline sampler and health monitors (see [`Observing`]).
     // detlint::allow(T003, observability sidecar: samples digested state and is never read back)
-    timeline: Option<itb_obs::TimelineSampler>,
-    /// Runtime health monitor (None until [`Cluster::enable_health`]).
-    // detlint::allow(T003, observability sidecar: samples digested state and is never read back)
-    health: Option<itb_obs::HealthMonitor>,
-    /// Sampling cadence: the minimum interval any enabled observer asked
-    /// for. None means no `Sample` events are scheduled at all.
-    // detlint::allow(T003, observer cadence: fixed at enable time; Sample events only read digested state)
-    sample_every: Option<SimDuration>,
-    /// Cached counter/link name schema for the allocation-free frame
-    /// sampling path (built lazily at the first sample; names depend only
-    /// on the topology, which never changes mid-run).
-    // detlint::allow(T003, observability sidecar: derived from topology naming and never read by a transition)
-    sample_schema: Option<Arc<itb_obs::MetricsSchema>>,
-    /// Reusable value buffer for the sampling hot path: refilled in place
-    /// every `Sample` event, so steady-state sampling allocates nothing.
-    // detlint::allow(T003, observability scratch: refilled from digested state every sample and never read by a transition)
-    sample_frame: Option<itb_obs::MetricsFrame>,
+    observers: Observing,
     /// Hybrid flow-engine state (None until
     /// [`Cluster::enable_flow_regions`]; its live-flow set is digested).
     flow_mode: Option<FlowMode>,
@@ -471,11 +500,7 @@ impl Cluster {
             packets_abandoned: 0,
             crashes_injected: 0,
             shard: None,
-            timeline: None,
-            health: None,
-            sample_every: None,
-            sample_schema: None,
-            sample_frame: None,
+            observers: Observing::default(),
             table,
             flow_mode: None,
         }
@@ -498,7 +523,7 @@ impl Cluster {
             "parallel mode requires a crash-free fault plan"
         );
         assert!(
-            self.sample_every.is_none(),
+            self.observers.every().is_none(),
             "timeline/health sampling sees one shard's partial counters and \
              would mistake remote progress for a stall; sample sequentially"
         );
@@ -724,23 +749,15 @@ impl Cluster {
     }
 
     /// Enable the sim-time timeline sampler: every `interval` of sim time a
-    /// scheduled `Sample` event records one [`itb_obs::Snapshot`] delta.
+    /// scheduled `Sample` event records one [`itb_obs::MetricsFrame`] delta.
     /// Call before [`Cluster::start`]; retrieve the series with
     /// [`Cluster::take_timeline`]. Incompatible with sharded parallel runs
     /// (see [`Cluster::set_shard`]).
     ///
     /// # Panics
-    /// Panics on a zero interval.
+    /// Panics on a zero interval, or after [`Cluster::start`].
     pub fn enable_timeline(&mut self, interval: SimDuration) {
-        let mut t = itb_obs::TimelineSampler::new(interval.as_ps() / 1_000);
-        // Samples arrive through the allocation-free frame path; bind now
-        // if the schema already exists (re-enable mid-run), else lazily at
-        // the first sample.
-        if let Some(s) = &self.sample_schema {
-            t.bind_schema(Arc::clone(s));
-        }
-        self.timeline = Some(t);
-        self.tighten_sampling(interval);
+        self.observers.plan().timeline(interval);
     }
 
     /// Enable the runtime health monitors (stall watchdog, counter
@@ -751,33 +768,33 @@ impl Cluster {
     /// Incompatible with sharded parallel runs (see [`Cluster::set_shard`]).
     ///
     /// # Panics
-    /// Panics on a zero interval or zero budget.
+    /// Panics on a zero interval or zero budget, or after
+    /// [`Cluster::start`].
     pub fn enable_health(&mut self, interval: SimDuration, stall_budget: SimDuration) {
-        assert!(
-            interval > SimDuration::ZERO,
-            "sample interval must be positive"
-        );
-        self.health = Some(itb_obs::HealthMonitor::new(itb_obs::HealthConfig {
-            stall_budget_ns: stall_budget.as_ps() / 1_000,
-        }));
-        self.tighten_sampling(interval);
+        self.observers.plan().health(interval, stall_budget);
     }
 
-    fn tighten_sampling(&mut self, interval: SimDuration) {
-        assert!(
-            interval > SimDuration::ZERO,
-            "sample interval must be positive"
-        );
-        self.sample_every = Some(match self.sample_every {
-            Some(cur) => cur.min(interval),
-            None => interval,
-        });
-    }
-
-    /// Take the recorded timeline (None if never enabled). The sampler is
-    /// consumed; re-enable to record again.
+    /// Take the recorded timeline (None if never enabled or before
+    /// [`Cluster::start`]). The sampler is consumed.
     pub fn take_timeline(&mut self) -> Option<itb_obs::TimelineSampler> {
-        self.timeline.take()
+        match &mut self.observers {
+            Observing::Running(o) => o.take_timeline(),
+            Observing::Planned(_) => None,
+        }
+    }
+
+    /// The running observers, moved out so the caller can read the rest of
+    /// the cluster while feeding them; put them back with
+    /// `self.observers = Observing::Running(..)`. None before
+    /// [`Cluster::start`] or when nothing is observed.
+    fn take_observers(&mut self) -> Option<Box<itb_obs::Observers>> {
+        match std::mem::take(&mut self.observers) {
+            Observing::Running(o) => Some(o),
+            planned => {
+                self.observers = planned;
+                None
+            }
+        }
     }
 
     /// Whether traffic still wants to make progress: packets on the wire or
@@ -817,23 +834,17 @@ impl Cluster {
     }
 
     /// Finalize the health monitor at time `now`: feed it one last
-    /// snapshot, run the end-of-run NIC buffer-leak audit over every
-    /// receive pool, and return the structured report (None if
-    /// [`Cluster::enable_health`] was never called). The monitor is
-    /// consumed.
+    /// sample, run the end-of-run NIC buffer-leak audit over every receive
+    /// pool, and return the structured report (None if
+    /// [`Cluster::enable_health`] was never called, or before
+    /// [`Cluster::start`]). The monitor is consumed.
     pub fn health_report(&mut self, now: SimTime) -> Option<itb_obs::HealthReport> {
-        let mut h = self.health.take()?;
-        let schema = self.sample_schema();
-        let mut frame = self
-            .sample_frame
-            .take()
-            .unwrap_or_else(|| itb_obs::MetricsFrame::for_schema(&schema));
-        self.fill_metrics_frame(now, &mut frame);
-        let end_ns = frame.at_ns;
-        if h.observe_frame(&frame, &schema, self.traffic_pending()) {
-            h.flag_stall(end_ns, self.blocked_set());
-        }
-        self.sample_frame = Some(frame);
+        let mut obs = self.take_observers()?;
+        self.fill_metrics_frame(now, obs.frame_mut());
+        let health = obs.finish_health(self.traffic_pending(), || self.blocked_set());
+        self.observers = Observing::Running(obs);
+        let mut h = health?;
+        let end_ns = now.as_ps() / 1_000;
         for (i, nic) in self.nics.iter().enumerate() {
             let a = nic.buffer_audit();
             h.audit_buffer(
@@ -850,51 +861,35 @@ impl Cluster {
         Some(h.finish(end_ns))
     }
 
-    /// One observability tick: snapshot the metrics, feed the health
-    /// monitor (gathering the blocked set if the watchdog fires) and the
-    /// timeline sampler, then reschedule. Rescheduling stops when the model
-    /// has no events left AND no stall question is open — a finished run
-    /// terminates naturally, while a drained queue with traffic still
-    /// pending (the deadlock signature: nothing can move, so nothing is
-    /// scheduled) keeps the sampling clock alive exactly until the watchdog
-    /// fires once and diagnoses it.
+    /// One observability tick: fill the metrics frame, feed the observers
+    /// (gathering the blocked set if the watchdog fires), then reschedule.
+    /// Rescheduling stops when the model has no events left AND no stall
+    /// question is open — a finished run terminates naturally, while a
+    /// drained queue with traffic still pending (the deadlock signature:
+    /// nothing can move, so nothing is scheduled) keeps the sampling clock
+    /// alive exactly until the watchdog fires once and diagnoses it.
     fn on_sample(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
-        if self.timeline.is_some() || self.health.is_some() {
-            // Frame path: refill the reusable value buffer in place and feed
-            // both observers positionally. Zero allocations in steady state
-            // (the schema's names were built once, at the first sample) —
-            // this is what keeps sampled load runs at full throughput.
-            let schema = self.sample_schema();
-            let mut frame = self
-                .sample_frame
-                .take()
-                .unwrap_or_else(|| itb_obs::MetricsFrame::for_schema(&schema));
-            self.fill_metrics_frame(now, &mut frame);
-            if let Some(mut h) = self.health.take() {
-                if h.observe_frame(&frame, &schema, self.traffic_pending()) {
-                    h.flag_stall(frame.at_ns, self.blocked_set());
-                }
-                self.health = Some(h);
-            }
-            if let Some(t) = &mut self.timeline {
-                t.record_frame(&frame);
-            }
-            self.sample_frame = Some(frame);
+        let Some(mut obs) = self.take_observers() else {
+            return;
+        };
+        // Refill the reusable value buffer in place: zero allocations in
+        // steady state (the schema's names were built at start).
+        self.fill_metrics_frame(now, obs.frame_mut());
+        obs.sample(self.traffic_pending(), || self.blocked_set());
+        if !q.is_empty() || obs.stall_open(self.traffic_pending()) {
+            q.schedule(now + obs.every(), ClusterEvent::Sample);
         }
-        if let Some(iv) = self.sample_every {
-            let stall_open = self
-                .health
-                .as_ref()
-                .is_some_and(|h| !h.in_stall() && self.traffic_pending());
-            if !q.is_empty() || stall_open {
-                q.schedule(now + iv, ClusterEvent::Sample);
-            }
-        }
+        self.observers = Observing::Running(obs);
     }
 
     /// Kick off every host's application and schedule planned NIC crashes.
     pub fn start(&mut self, q: &mut EventQueue<ClusterEvent>) {
-        if let Some(iv) = self.sample_every {
+        // Flow mode is fixed by now, so the metric schema is final.
+        if matches!(&self.observers, Observing::Planned(p) if p.every().is_some()) {
+            let schema = self.build_metrics_schema();
+            self.observers.start(schema);
+        }
+        if let Some(iv) = self.observers.every() {
             q.schedule(SimTime::ZERO + iv, ClusterEvent::Sample);
         }
         for c in self.crashes.clone() {
@@ -1105,9 +1100,9 @@ impl Cluster {
 
     /// Per-NIC counter names, in the order [`Cluster::fill_metrics_frame`]
     /// fills their values. The two functions are kept in lockstep by this
-    /// shared list plus the length assertion in `MetricsFrame::to_snapshot`
-    /// (and the fact that [`Cluster::metrics_snapshot`] itself goes through
-    /// the frame path, so any drift breaks the snapshot tests immediately).
+    /// shared list plus the length assertion in `MetricsFrame::to_snapshot`,
+    /// which every timeline row and [`Cluster::metrics_snapshot`] pass
+    /// through, so any drift fails the observability tests immediately.
     const NIC_COUNTER_NAMES: [&'static str; 10] = [
         "sends",
         "recvs",
@@ -1123,8 +1118,9 @@ impl Cluster {
 
     /// Build the counter/link name schema for the frame sampling path, in
     /// the natural fill order of [`Cluster::fill_metrics_frame`]: `net.*`,
-    /// then `nic.{i}.*` per NIC, then `gm.*`. Names depend only on the
-    /// topology, so the schema is built once per run.
+    /// then `nic.{i}.*` per NIC, then `gm.*`, then `flow.*` in hybrid runs.
+    /// Names depend only on the topology and flow mode, so
+    /// [`Cluster::start`] builds the schema once per run.
     fn build_metrics_schema(&self) -> Arc<itb_obs::MetricsSchema> {
         let mut keys = Vec::with_capacity(8 + self.nics.len() * Self::NIC_COUNTER_NAMES.len() + 7);
         for k in [
@@ -1171,20 +1167,6 @@ impl Cluster {
             }
         }
         itb_obs::MetricsSchema::new(keys, self.net.link_names())
-    }
-
-    /// The cached schema, building (and binding the timeline sampler) on
-    /// first use.
-    fn sample_schema(&mut self) -> Arc<itb_obs::MetricsSchema> {
-        if let Some(s) = &self.sample_schema {
-            return Arc::clone(s);
-        }
-        let s = self.build_metrics_schema();
-        if let Some(t) = &mut self.timeline {
-            t.bind_schema(Arc::clone(&s));
-        }
-        self.sample_schema = Some(Arc::clone(&s));
-        s
     }
 
     /// Refill `frame` with every metric value at time `now`, in
@@ -1255,15 +1237,15 @@ impl Cluster {
     /// One unified metrics snapshot across all layers at time `now`:
     /// network and per-NIC counters in a flat `layer.name` namespace,
     /// per-link byte/blocking loads and the wormhole blocking-time
-    /// distribution. Diff two snapshots with [`itb_obs::Snapshot::delta`].
+    /// distribution: the artifact view of the frame the observers sample.
     ///
     /// Implemented via the frame path (values filled positionally, names
     /// joined at materialization), so the hot sampling path and this cold
     /// accessor can never drift apart.
     pub fn metrics_snapshot(&self, now: SimTime) -> itb_obs::Snapshot {
-        let schema = match &self.sample_schema {
-            Some(s) => Arc::clone(s),
-            None => self.build_metrics_schema(),
+        let schema = match &self.observers {
+            Observing::Running(o) => Arc::clone(o.schema()),
+            Observing::Planned(_) => self.build_metrics_schema(),
         };
         let mut frame = itb_obs::MetricsFrame::for_schema(&schema);
         self.fill_metrics_frame(now, &mut frame);
@@ -1333,7 +1315,6 @@ impl Cluster {
             self.release_buf = released;
             return;
         }
-        let header = self.hosts[src.idx()].header_for(dst);
         // A fresh application send pays the library-call cost; ACK-driven
         // window refills only pay the per-packet posting cost (the library
         // call already happened).
@@ -1342,36 +1323,9 @@ impl Cluster {
         } else {
             self.gm.o_send_per_packet
         };
-        let step = self.gm.o_send_per_packet;
-        let mut at = now + base;
-        if let Some(&last) = self.submit_clock.get(&(src.0, dst.0)) {
-            at = at.max(last + step);
-        }
-        let mut last = at;
-        for pkt in released.drain(..) {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending_submissions.insert(
-                token,
-                (
-                    dst,
-                    PacketDesc {
-                        header: header.clone(),
-                        payload_len: pkt.payload_len + GM_PKT_OVERHEAD,
-                        tag: pkt.tag,
-                        src,
-                    },
-                ),
-            );
-            q.schedule(
-                at,
-                ClusterEvent::Host(HostEvent::SubmitPacket { host: src, token }),
-            );
-            last = at;
-            at += step;
-        }
+        let packets = released.drain(..).map(|p| (p.payload_len, p.tag));
+        self.schedule_submissions(src, dst, packets, now + base, q);
         self.release_buf = released;
-        self.submit_clock.insert((src.0, dst.0), last);
         // Arm the retransmission timer for this connection.
         if self.gm.reliability && !self.hosts[src.idx()].tx[dst.idx()].timer_armed {
             self.hosts[src.idx()].tx[dst.idx()].timer_armed = true;
@@ -1382,6 +1336,55 @@ impl Cluster {
                     peer: dst,
                 }),
             );
+        }
+    }
+
+    /// Schedule one `SubmitPacket` per `(payload_len, tag)` of the
+    /// `(src, dst)` connection, spaced by the per-packet posting cost. The
+    /// first starts at `earliest`, but no sooner than one posting cost
+    /// after the connection's last pending submission (see
+    /// `submit_clock`), so fresh sends, window refills and go-back-N
+    /// resends reach the NIC in the order they were scheduled.
+    fn schedule_submissions(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        packets: impl Iterator<Item = (u32, u64)>,
+        earliest: SimTime,
+        q: &mut EventQueue<ClusterEvent>,
+    ) {
+        let header = self.hosts[src.idx()].header_for(dst);
+        let step = self.gm.o_send_per_packet;
+        let conn = (src.0, dst.0);
+        let mut at = match self.submit_clock.get(&conn) {
+            Some(&last) => earliest.max(last + step),
+            None => earliest,
+        };
+        let mut last = None;
+        for (payload_len, tag) in packets {
+            let token = self.next_token;
+            self.next_token += 1;
+            self.pending_submissions.insert(
+                token,
+                (
+                    dst,
+                    PacketDesc {
+                        header: header.clone(),
+                        payload_len: payload_len + GM_PKT_OVERHEAD,
+                        tag,
+                        src,
+                    },
+                ),
+            );
+            q.schedule(
+                at,
+                ClusterEvent::Host(HostEvent::SubmitPacket { host: src, token }),
+            );
+            last = Some(at);
+            at += step;
+        }
+        if let Some(last) = last {
+            self.submit_clock.insert(conn, last);
         }
     }
 
@@ -1557,23 +1560,9 @@ impl Cluster {
                         return;
                     }
                     RetransDecision::Resend(due) => {
-                        for (i, pkt) in due.into_iter().enumerate() {
-                            let token = self.next_token;
-                            self.next_token += 1;
-                            let desc = PacketDesc {
-                                header: self.hosts[host.idx()].header_for(pkt.dst),
-                                payload_len: pkt.payload_len + GM_PKT_OVERHEAD,
-                                tag: pkt.tag,
-                                src: host,
-                            };
-                            self.pending_submissions.insert(token, (pkt.dst, desc));
-                            // Stagger resends by the per-packet posting cost,
-                            // as `pump_conn` spaces fresh sends.
-                            q.schedule_after(
-                                self.gm.o_send_per_packet * (i as u64 + 1),
-                                ClusterEvent::Host(HostEvent::SubmitPacket { host, token }),
-                            );
-                        }
+                        let packets = due.into_iter().map(|p| (p.payload_len, p.tag));
+                        let earliest = now + self.gm.o_send_per_packet;
+                        self.schedule_submissions(host, peer, packets, earliest, q);
                     }
                     RetransDecision::Idle => {}
                 }

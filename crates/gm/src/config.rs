@@ -1,10 +1,10 @@
 //! Host-side GM configuration.
 
 use itb_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Host-software timing and protocol constants.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct GmConfig {
     /// Maximum payload bytes per packet (GM segments longer messages).
     pub mtu: u32,

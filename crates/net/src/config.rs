@@ -2,10 +2,10 @@
 
 use itb_sim::{Bandwidth, SimDuration};
 use itb_topo::PortKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Output-port arbitration among input ports waiting for the same output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Arbitration {
     /// First-come first-served (request order).
     #[default]
@@ -19,7 +19,7 @@ pub enum Arbitration {
 /// Switch fall-through latencies by port kind. The paper (§5) notes that
 /// "the latency through a switch depends on the type of traversed ports",
 /// which is why both Figure 8 paths were built over the same kind multiset.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FallThrough {
     /// Head routing delay when both input and output are SAN ports.
     pub san_san: SimDuration,
@@ -43,7 +43,7 @@ impl FallThrough {
 }
 
 /// All physical-layer constants of the network model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct NetConfig {
     /// Link serialization rate (Myrinet: 160 MB/s each direction).
     pub link_bw: Bandwidth,

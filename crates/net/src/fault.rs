@@ -16,10 +16,10 @@
 
 use itb_sim::SimTime;
 use itb_topo::{HostId, LinkId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-link override of the plan-wide fault probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkFault {
     /// The cable (both directions) the override applies to.
     pub link: LinkId,
@@ -31,7 +31,7 @@ pub struct LinkFault {
 
 /// A scheduled outage of one cable: every packet whose head arrives over
 /// the link inside `[from, until)` is lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LinkDownWindow {
     /// The cable that goes down (both directions).
     pub link: LinkId,
@@ -44,7 +44,7 @@ pub struct LinkDownWindow {
 /// A scheduled crash of one host's NIC: at `at` the firmware dies, flushing
 /// every in-transit packet it holds; until `until` all arriving packets are
 /// discarded; at `until` the NIC comes back clean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HostCrash {
     /// The host whose NIC crashes.
     pub host: HostId,
@@ -59,7 +59,7 @@ pub struct HostCrash {
 /// The default plan is a no-op: zero probabilities, no windows, no crashes.
 /// Deterministic by construction — the same plan (same seed) produces the
 /// same faults event for event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct FaultPlan {
     /// Seed of the fault-decision RNG (independent of the traffic seed).
     pub seed: u64,

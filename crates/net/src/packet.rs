@@ -3,7 +3,7 @@
 use itb_routing::wire::Header;
 use itb_sim::{narrow, SimTime};
 use itb_topo::HostId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One instrumented moment in a packet's life (recorded only when
 /// `NetConfig::record_timelines` is on).
@@ -19,7 +19,7 @@ pub struct TimelineEntry {
 }
 
 /// Globally unique in-flight packet identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PacketId(pub u64);
 
 /// What a NIC hands the network when injecting a packet.

@@ -1,9 +1,9 @@
 //! Network-level counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters maintained by [`crate::Network`].
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct NetStats {
     /// Packets injected by hosts.
     pub injected: u64,

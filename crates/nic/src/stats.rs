@@ -1,9 +1,9 @@
 //! Per-NIC counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters maintained by one [`crate::Nic`].
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct NicStats {
     /// Completed host sends.
     pub sends: u64,

@@ -15,10 +15,10 @@
 //!   the measured path difference lands at the paper's ≈ 1.3 µs.
 
 use itb_sim::{Bandwidth, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// All firmware and host-interface timing constants of one NIC.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct McpTiming {
     /// LANai processor cycle time.
     pub cycle: SimDuration,

@@ -16,10 +16,10 @@
 //!   `Vec<u64>` / `Vec<[u64; 4]>` buffers. Index `i` of a frame always
 //!   means schema entry `i`; the pairing is positional by contract.
 //!
-//! [`MetricsFrame::to_snapshot`] re-joins the halves into a classic
-//! [`Snapshot`] (keys land in a `BTreeMap`, so sorting happens exactly once
-//! at materialization), which is how the timeline sampler reproduces the
-//! byte-identical JSONL artifact from compact per-interval delta vectors.
+//! [`MetricsFrame::to_snapshot`] re-joins the halves into the [`Snapshot`]
+//! artifact shape (keys land in a `BTreeMap`, so sorting happens exactly
+//! once at materialization), which is how the timeline sampler writes its
+//! JSONL artifact from compact per-interval delta frames.
 
 use crate::metrics::{LinkLoad, QuantileSummary, Snapshot};
 use std::sync::Arc;
@@ -30,8 +30,8 @@ pub type LinkVals = [u64; 4];
 
 /// The name half of a metrics frame: counter keys and link names in the
 /// integrating world's natural fill order. Built once per run and shared
-/// (via [`Arc`]) between the world, the timeline sampler and the health
-/// monitor.
+/// (via [`Arc`]) between the world's [`crate::Observers`] and its timeline
+/// sampler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSchema {
     /// Counter keys (`"net.injected"`, `"nic.3.itb_detects"`, …) in fill

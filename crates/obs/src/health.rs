@@ -12,20 +12,19 @@
 //! * **buffer conservation** — at end of run every NIC SRAM receive buffer
 //!   is either free or owned by a live reception (the `owns_buffer`
 //!   accounting), so firmware paths cannot leak buffers;
-//! * **counter conservation** — the flat counter namespace of
-//!   [`Snapshot`] is monotonic; a counter or link-load value going
-//!   *backwards* between samples means an engine bug (or a wrapping
-//!   subtraction somewhere).
+//! * **counter conservation** — every counter and link-load value of a
+//!   [`MetricsFrame`] is monotonic; a value going *backwards* between
+//!   samples means an engine bug (or a wrapping subtraction somewhere).
 //!
 //! Like the timeline sampler, the monitor is passive and sim-time-only: the
-//! integrating world feeds it snapshots from its own scheduled sampling
-//! events (detlint D002 enforces the no-wall-clock contract). Violations
+//! integrating world fills a frame at each of its own scheduled sampling
+//! events and [`crate::Observers`] feeds it here together with the previous
+//! sample (detlint D002 enforces the no-wall-clock contract). Violations
 //! land in a structured [`HealthReport`] that bench binaries write to
 //! `results/health_report.json`; strict-mode runs exit nonzero when the
 //! report is unhealthy.
 
 use crate::frame::{MetricsFrame, MetricsSchema};
-use crate::metrics::Snapshot;
 use serde::Serialize;
 use std::io;
 
@@ -81,7 +80,7 @@ impl BufferAudit {
 pub struct HealthReport {
     /// True iff no monitor fired.
     pub healthy: bool,
-    /// Snapshots observed.
+    /// Samples observed.
     pub samples: u64,
     /// Configured stall budget, sim nanoseconds.
     pub stall_budget_ns: u64,
@@ -113,12 +112,10 @@ impl HealthReport {
     }
 }
 
-/// Accumulates snapshots and violations over a run.
+/// Accumulates samples and violations over a run.
 #[derive(Debug)]
 pub struct HealthMonitor {
     cfg: HealthConfig,
-    prev: Option<Snapshot>,
-    prev_frame: Option<MetricsFrame>,
     last_progress_ns: u64,
     in_stall: bool,
     samples: u64,
@@ -132,15 +129,7 @@ pub struct HealthMonitor {
 const PROGRESS_COUNTERS: [&str; 2] = ["net.delivered", "flow.bytes_delivered"];
 
 /// Total bytes moved over every link, both directions.
-fn link_bytes(s: &Snapshot) -> u64 {
-    s.links
-        .iter()
-        .map(|l| l.fwd_bytes.saturating_add(l.rev_bytes))
-        .fold(0u64, u64::saturating_add)
-}
-
-/// Frame-path twin of [`link_bytes`].
-fn frame_link_bytes(f: &MetricsFrame) -> u64 {
+fn link_bytes(f: &MetricsFrame) -> u64 {
     f.links
         .iter()
         .map(|l| l[0].saturating_add(l[1]))
@@ -157,8 +146,6 @@ impl HealthMonitor {
         assert!(cfg.stall_budget_ns > 0, "stall budget must be positive");
         HealthMonitor {
             cfg,
-            prev: None,
-            prev_frame: None,
             last_progress_ns: 0,
             in_stall: false,
             samples: 0,
@@ -167,66 +154,31 @@ impl HealthMonitor {
         }
     }
 
-    /// Feed one absolute snapshot. `pending` says whether traffic exists
-    /// that still wants to make progress (packets in flight or messages
-    /// undelivered) — the watchdog only arms while something is pending.
+    /// Feed one absolute sample `frame` (named by `schema`) against `prev`,
+    /// the sample before it. `prev` is ignored on the first call: a first
+    /// sample has no predecessor, so it runs no progress or regression
+    /// check. `pending` says whether traffic exists that still wants to
+    /// make progress (packets in flight or messages undelivered) — the
+    /// watchdog only arms while something is pending.
+    ///
+    /// Comparison is positional (index `i` against index `i`), so the
+    /// monitor builds no string unless a value actually regressed.
     ///
     /// Returns `true` exactly when the stall watchdog fires for a new stall
     /// episode; the caller then gathers the blocked set (parked packets,
     /// undelivered messages) and reports it via [`Self::flag_stall`]. The
     /// two-phase shape keeps this crate free of network/GM knowledge.
-    pub fn observe(&mut self, snap: &Snapshot, pending: bool) -> bool {
-        self.samples += 1;
-        let at = snap.at_ns;
-        if let Some(prev) = &self.prev {
-            for detail in snap.regressions(prev) {
-                self.violations.push(Violation {
-                    check: "counter_conservation".into(),
-                    at_ns: at,
-                    detail,
-                    blocked: Vec::new(),
-                });
-            }
-            let progressed = PROGRESS_COUNTERS
-                .iter()
-                .any(|&k| snap.counter(k) != prev.counter(k))
-                || link_bytes(snap) != link_bytes(prev);
-            if progressed {
-                self.last_progress_ns = at;
-                self.in_stall = false;
-            }
-        }
-        self.prev = Some(snap.clone());
-        if pending
-            && !self.in_stall
-            && at.saturating_sub(self.last_progress_ns) >= self.cfg.stall_budget_ns
-        {
-            self.in_stall = true;
-            return true;
-        }
-        false
-    }
-
-    /// Allocation-free twin of [`Self::observe`] for the frame sampling
-    /// path: counter and link comparison is positional (index `i` against
-    /// index `i`), so the monitor never builds a string unless a value
-    /// actually regressed. The previous frame is retained by in-place copy
-    /// — steady state performs zero allocations.
-    ///
-    /// The violation message format is identical to the snapshot path
-    /// (pinned by tests), so health reports do not depend on which path
-    /// fed the monitor.
     pub fn observe_frame(
         &mut self,
         frame: &MetricsFrame,
+        prev: &MetricsFrame,
         schema: &MetricsSchema,
         pending: bool,
     ) -> bool {
         debug_assert_eq!(frame.counters.len(), schema.counter_keys.len());
         debug_assert_eq!(frame.links.len(), schema.link_names.len());
-        self.samples += 1;
         let at = frame.at_ns;
-        if let Some(prev) = &self.prev_frame {
+        if self.samples > 0 {
             for (i, (&v, &b)) in frame.counters.iter().zip(&prev.counters).enumerate() {
                 if v < b {
                     let k = &schema.counter_keys[i];
@@ -260,16 +212,13 @@ impl HealthMonitor {
                 schema
                     .counter_index(k)
                     .is_some_and(|i| frame.counters[i] != prev.counters[i])
-            }) || frame_link_bytes(frame) != frame_link_bytes(prev);
+            }) || link_bytes(frame) != link_bytes(prev);
             if progressed {
                 self.last_progress_ns = at;
                 self.in_stall = false;
             }
         }
-        match &mut self.prev_frame {
-            Some(p) => p.copy_from(frame),
-            None => self.prev_frame = Some(frame.clone()),
-        }
+        self.samples += 1;
         if pending
             && !self.in_stall
             && at.saturating_sub(self.last_progress_ns) >= self.cfg.stall_budget_ns
@@ -281,7 +230,7 @@ impl HealthMonitor {
     }
 
     /// Record a stall the watchdog detected (one violation per episode;
-    /// [`Self::observe`] suppresses re-fires until progress resumes).
+    /// [`Self::observe_frame`] suppresses re-fires until progress resumes).
     pub fn flag_stall(&mut self, at_ns: u64, blocked: Vec<String>) {
         let idle = at_ns.saturating_sub(self.last_progress_ns);
         self.violations.push(Violation {
@@ -315,16 +264,11 @@ impl HealthMonitor {
     }
 
     /// Whether the watchdog is currently inside a flagged stall episode
-    /// (set when [`Self::observe`] fires, cleared by progress). Integrating
+    /// (set when [`Self::observe_frame`] fires, cleared by progress). Integrating
     /// worlds use this to keep their sampling clock alive while a stall is
     /// still being hunted, and to stop once it has been diagnosed.
     pub fn in_stall(&self) -> bool {
         self.in_stall
-    }
-
-    /// Violations recorded so far (the report is the durable form).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 
     /// Finalize into a [`HealthReport`] at sim time `end_ns`.
@@ -344,72 +288,110 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::LinkLoad;
+    use std::sync::Arc;
 
-    fn snap(at_ns: u64, delivered: u64, fwd: u64) -> Snapshot {
-        let mut s = Snapshot::new();
-        s.at_ns = at_ns;
-        s.counters.insert("net.delivered".into(), delivered);
-        s.links.push(LinkLoad {
-            link: "h0-s0".into(),
-            fwd_bytes: fwd,
-            rev_bytes: 0,
-            fwd_blocked_ns: 0,
-            rev_blocked_ns: 0,
-        });
-        s
+    /// A monitor fed frames over `counters` plus one link `h0-s0`, each
+    /// frame against the one fed before it, as [`crate::Observers`] does.
+    struct Rig {
+        m: HealthMonitor,
+        schema: Arc<MetricsSchema>,
+        prev: MetricsFrame,
+    }
+
+    impl Rig {
+        fn new(stall_budget_ns: u64, counters: &[&str]) -> Self {
+            let keys = counters.iter().map(|k| (*k).to_string()).collect();
+            let schema = MetricsSchema::new(keys, vec!["h0-s0".into()]);
+            Rig {
+                m: HealthMonitor::new(HealthConfig { stall_budget_ns }),
+                prev: MetricsFrame::for_schema(&schema),
+                schema,
+            }
+        }
+
+        /// A rig over `net.delivered` alone.
+        fn delivered(stall_budget_ns: u64) -> Self {
+            Rig::new(stall_budget_ns, &["net.delivered"])
+        }
+
+        /// Feed the sample at `at` with these counter values and `fwd`
+        /// bytes on the link; returns whether the watchdog fired.
+        fn feed(&mut self, at: u64, counters: &[u64], fwd: u64, pending: bool) -> bool {
+            let mut f = MetricsFrame::for_schema(&self.schema);
+            f.at_ns = at;
+            f.counters.copy_from_slice(counters);
+            f.links[0] = [fwd, 0, 0, 0];
+            let fired = self.m.observe_frame(&f, &self.prev, &self.schema, pending);
+            self.prev = f;
+            fired
+        }
     }
 
     #[test]
     fn watchdog_fires_once_per_episode_and_rearms_on_progress() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 1000,
-        });
+        let mut r = Rig::delivered(1000);
         // Active phase: link bytes advance each sample.
-        assert!(!m.observe(&snap(100, 0, 64), true));
-        assert!(!m.observe(&snap(600, 0, 128), true));
+        assert!(!r.feed(100, &[0], 64, true));
+        assert!(!r.feed(600, &[0], 128, true));
         // Quiet with pending traffic: budget exceeded at 1600 (last progress
         // 600), fires exactly once.
-        assert!(!m.observe(&snap(1100, 0, 128), true));
-        assert!(m.observe(&snap(1700, 0, 128), true));
-        m.flag_stall(1700, vec!["msg 0: h1->h2 undelivered".into()]);
-        assert!(!m.observe(&snap(2300, 0, 128), true), "no duplicate fire");
+        assert!(!r.feed(1100, &[0], 128, true));
+        assert!(r.feed(1700, &[0], 128, true));
+        r.m.flag_stall(1700, vec!["msg 0: h1->h2 undelivered".into()]);
+        assert!(!r.feed(2300, &[0], 128, true), "no duplicate fire");
         // Progress clears the episode; a later quiet stretch re-fires.
-        assert!(!m.observe(&snap(2400, 1, 256), true));
-        assert!(m.observe(&snap(3500, 1, 256), true));
-        m.flag_stall(3500, Vec::new());
-        let r = m.finish(4000);
-        assert!(!r.healthy);
-        assert_eq!(r.violations.len(), 2);
-        assert_eq!(r.violations[0].check, "stall_watchdog");
-        assert_eq!(r.violations[0].blocked.len(), 1);
-        assert_eq!(r.last_progress_ns, 2400);
+        assert!(!r.feed(2400, &[1], 256, true));
+        assert!(r.feed(3500, &[1], 256, true));
+        r.m.flag_stall(3500, Vec::new());
+        let rep = r.m.finish(4000);
+        assert!(!rep.healthy);
+        assert_eq!(rep.violations.len(), 2);
+        assert_eq!(rep.violations[0].check, "stall_watchdog");
+        assert_eq!(rep.violations[0].blocked.len(), 1);
+        assert_eq!(rep.last_progress_ns, 2400);
     }
 
     #[test]
     fn watchdog_stays_quiet_without_pending_traffic() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 1000,
-        });
-        assert!(!m.observe(&snap(100, 1, 64), false));
+        let mut r = Rig::delivered(1000);
+        assert!(!r.feed(100, &[1], 64, false));
         // A long idle tail with nothing pending is a finished run, not a
         // stall.
-        assert!(!m.observe(&snap(50_000, 1, 64), false));
-        assert!(m.finish(50_000).healthy);
+        assert!(!r.feed(50_000, &[1], 64, false));
+        assert!(r.m.finish(50_000).healthy);
+    }
+
+    #[test]
+    fn first_sample_has_no_predecessor() {
+        // The first sample is compared with nothing, so it can neither
+        // regress nor count as progress.
+        let mut r = Rig::delivered(1_000_000);
+        r.prev.counters[0] = 99;
+        r.feed(100, &[5], 64, true);
+        let rep = r.m.finish(100);
+        assert!(rep.healthy);
+        assert_eq!(rep.last_progress_ns, 0);
+        assert_eq!(rep.samples, 1);
     }
 
     #[test]
     fn counter_regression_is_a_conservation_violation() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 1_000_000,
-        });
-        m.observe(&snap(100, 5, 64), true);
-        m.observe(&snap(200, 3, 64), true); // delivered went backwards
-        let r = m.finish(200);
-        assert!(!r.healthy);
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].check, "counter_conservation");
-        assert!(r.violations[0].detail.contains("net.delivered"));
+        let mut r = Rig::delivered(1_000_000);
+        r.feed(100, &[5], 64, true);
+        r.feed(200, &[3], 64, true); // delivered went backwards
+        r.feed(300, &[3], 32, true); // and so did the link
+        let rep = r.m.finish(300);
+        assert!(!rep.healthy);
+        assert_eq!(rep.violations.len(), 2);
+        assert_eq!(rep.violations[0].check, "counter_conservation");
+        assert_eq!(
+            rep.violations[0].detail,
+            "counter net.delivered regressed: 5 -> 3"
+        );
+        assert_eq!(
+            rep.violations[1].detail,
+            "link h0-s0 fwd_bytes regressed: 64 -> 32"
+        );
     }
 
     #[test]
@@ -443,98 +425,66 @@ mod tests {
     }
 
     #[test]
-    fn frame_observe_matches_snapshot_observe() {
-        use crate::frame::{MetricsFrame, MetricsSchema};
-        let schema = MetricsSchema::new(vec!["net.delivered".into()], vec!["h0-s0".into()]);
-        let mut frame = MetricsFrame::for_schema(&schema);
-        let feed = |f: &mut MetricsFrame, at: u64, delivered: u64, fwd: u64| {
-            f.at_ns = at;
-            f.counters[0] = delivered;
-            f.links[0] = [fwd, 0, 0, 0];
-        };
-
-        // Same series through both paths: progress, stall, regression.
-        let series: [(u64, u64, u64); 5] = [
+    fn progress_stall_and_regression_series() {
+        // Progress, a stall, renewed progress, then a regression.
+        let mut r = Rig::delivered(1000);
+        let mut fired = Vec::new();
+        for (at, delivered, fwd) in [
             (100, 0, 64),
             (600, 0, 128),
             (1700, 0, 128),
             (2400, 1, 256),
             (2500, 0, 256),
-        ];
-        let mut via_snap = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 1000,
-        });
-        let mut via_frame = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 1000,
-        });
-        for (at, delivered, fwd) in series {
-            let fired_a = via_snap.observe(&snap(at, delivered, fwd), true);
-            feed(&mut frame, at, delivered, fwd);
-            let fired_b = via_frame.observe_frame(&frame, &schema, true);
-            assert_eq!(fired_a, fired_b, "at {at}");
-            if fired_a {
-                via_snap.flag_stall(at, Vec::new());
-                via_frame.flag_stall(at, Vec::new());
+        ] {
+            if r.feed(at, &[delivered], fwd, true) {
+                r.m.flag_stall(at, Vec::new());
+                fired.push(at);
             }
         }
-        let (a, b) = (via_snap.finish(3000), via_frame.finish(3000));
-        assert_eq!(a.to_json(), b.to_json());
-        assert!(!a.healthy);
-        // The last sample regressed net.delivered: both paths flag it with
-        // the identical message.
-        assert!(a
-            .violations
-            .iter()
-            .any(|v| v.detail == "counter net.delivered regressed: 1 -> 0"));
+        assert_eq!(fired, [1700]);
+        let rep = r.m.finish(3000);
+        assert!(!rep.healthy);
+        // Progress is any change, so the regression also counts as one.
+        assert_eq!(rep.last_progress_ns, 2500);
+        assert_eq!(
+            rep.violations
+                .iter()
+                .map(|v| v.detail.as_str())
+                .collect::<Vec<_>>(),
+            [
+                "no delivery or link advance for 1100 ns (budget 1000 ns) with 0 blocked item(s); last progress at 600 ns",
+                "counter net.delivered regressed: 1 -> 0",
+            ]
+        );
     }
 
     #[test]
-    fn flow_bytes_count_as_progress_on_both_paths() {
-        use crate::frame::{MetricsFrame, MetricsSchema};
+    fn flow_bytes_count_as_progress() {
         // A flow-only stretch: no packet delivery, no link byte, but the
         // flow engine serves bytes every sample.
-        let schema = MetricsSchema::new(
-            vec!["net.delivered".into(), "flow.bytes_delivered".into()],
-            vec!["h0-s0".into()],
-        );
-        let mut frame = MetricsFrame::for_schema(&schema);
-        let cfg = HealthConfig {
-            stall_budget_ns: 1000,
-        };
-        let (mut via_snap, mut via_frame) = (HealthMonitor::new(cfg), HealthMonitor::new(cfg));
+        let mut r = Rig::new(1000, &["net.delivered", "flow.bytes_delivered"]);
         for (i, at) in [500u64, 1000, 1500, 2000, 2500].into_iter().enumerate() {
             let flow_bytes = 4096 * (i as u64 + 1);
-            let mut s = snap(at, 0, 0);
-            s.counters.insert("flow.bytes_delivered".into(), flow_bytes);
-            assert!(!via_snap.observe(&s, true), "snapshot path fired at {at}");
-            frame.at_ns = at;
-            frame.counters[1] = flow_bytes;
-            assert!(
-                !via_frame.observe_frame(&frame, &schema, true),
-                "frame path fired at {at}"
-            );
+            assert!(!r.feed(at, &[0, flow_bytes], 0, true), "fired at {at}");
         }
-        assert!(via_snap.finish(2500).healthy);
-        assert!(via_frame.finish(2500).healthy);
+        assert!(r.m.finish(2500).healthy);
     }
 
     #[test]
     fn report_serializes_with_violations() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            stall_budget_ns: 10,
-        });
+        let mut r = Rig::delivered(10);
         // No progress since t = 0 and the budget is tiny, so the very first
         // pending sample already exceeds it.
-        assert!(m.observe(&snap(100, 0, 0), true));
-        m.flag_stall(100, vec!["packet 7: parked at s0 port 1".into()]);
-        let json = m.finish(200).to_json();
+        assert!(r.feed(100, &[0], 0, true));
+        r.m.flag_stall(100, vec!["packet 7: parked at s0 port 1".into()]);
+        let json = r.m.finish(200).to_json();
         assert!(json.contains("\"healthy\": false"));
         assert!(json.contains("stall_watchdog"));
         assert!(json.contains("packet 7"));
         let mut buf = Vec::new();
-        let mut m2 = HealthMonitor::new(HealthConfig { stall_budget_ns: 1 });
-        m2.observe(&snap(1, 0, 0), false);
-        m2.finish(1).write_json(&mut buf).unwrap();
+        let mut r2 = Rig::delivered(1);
+        r2.feed(1, &[0], 0, false);
+        r2.m.finish(1).write_json(&mut buf).unwrap();
         assert!(String::from_utf8(buf).unwrap().ends_with("}\n"));
     }
 }

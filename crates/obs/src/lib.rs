@@ -9,21 +9,26 @@
 //!   `mcp.itb_detect`, `mcp.itb_forward`, `net.link_acquire`,
 //!   `net.link_block`, `host.deliver`, …), keyed by the network's stable
 //!   packet id. Hot paths pay a single branch while tracing is off.
-//! * [`Snapshot`] — a unified metrics view (counters, per-link load,
-//!   wormhole blocking-time quantiles) with a [`Snapshot::delta`] API, all
-//!   serializable to JSON.
+//! * [`MetricsFrame`] / [`MetricsSchema`] — the one sampling
+//!   representation: positional counter and per-link values refilled in
+//!   place, with names built once per run. [`Snapshot`] is its artifact
+//!   shape (a sorted, name-keyed view serializable to JSON).
 //! * [`export`] — artifact writers: JSONL event dumps, Chrome
 //!   `trace_event` JSON (openable in Perfetto / `chrome://tracing`), a
 //!   per-stage latency attribution that decomposes an end-to-end packet
 //!   latency into injection / wormhole transit / ITB-hop / delivery, and a
 //!   per-shard PDES window-utilization gantt built from
 //!   `itb_sim::par` profiler records.
-//! * [`timeline`] — a sim-time timeline sampler: periodic [`Snapshot`]
-//!   deltas (driven by scheduled sim events, never wall-clock) streamed as
-//!   a JSONL series of per-interval injected/delivered/link-load change.
+//! * [`timeline`] — a sim-time timeline sampler: periodic
+//!   [`MetricsFrame`] deltas (driven by scheduled sim events, never
+//!   wall-clock) streamed as a JSONL series of per-interval
+//!   injected/delivered/link-load change.
 //! * [`health`] — runtime health monitors: a sim-time no-progress stall
 //!   watchdog, an end-of-run buffer-leak audit and a monotonic-counter
 //!   conservation check, reported as a structured [`HealthReport`].
+//! * [`observers`] — the one sidecar an integrating world holds: it builds
+//!   both observers over one schema and feeds them each sampled frame
+//!   against one shared previous sample.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,6 +37,7 @@ pub mod export;
 pub mod frame;
 pub mod health;
 pub mod metrics;
+pub mod observers;
 pub mod stage;
 pub mod timeline;
 pub mod tracer;
@@ -40,6 +46,7 @@ pub use export::{attribute, spans, Attribution, ParTraceMeta, Span};
 pub use frame::{LinkVals, MetricsFrame, MetricsSchema};
 pub use health::{BufferAudit, HealthConfig, HealthMonitor, HealthReport, Violation};
 pub use metrics::{LinkLoad, QuantileSummary, Snapshot};
+pub use observers::{ObserverPlan, Observers};
 pub use stage::Stage;
 pub use timeline::{IntervalSample, TimelineSampler};
 pub use tracer::{PacketTracer, StageEvent};

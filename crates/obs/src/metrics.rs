@@ -2,7 +2,7 @@
 //! stack exposes, with per-link load and wormhole blocking-time quantiles.
 
 use itb_sim::stats::Accum;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Summary quantiles of a distribution, extracted from an [`Accum`].
@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 /// All values are in the unit the underlying samples were recorded in
 /// (nanoseconds everywhere in this workspace). NaN fields serialize as JSON
 /// `null`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct QuantileSummary {
     /// Sample count.
     pub n: u64,
@@ -59,7 +59,7 @@ impl From<&Accum> for QuantileSummary {
 
 /// Traffic and contention on one physical link (host↔switch or
 /// switch↔switch), both directions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LinkLoad {
     /// Stable link name, e.g. `"h0-s0"` or `"s0-s1"`.
     pub link: String,
@@ -77,8 +77,10 @@ pub struct LinkLoad {
 ///
 /// Counters from all layers live in one flat namespace
 /// (`"net.injected"`, `"nic.3.itb_detects"`, …) so exporters and the
-/// [`Snapshot::delta`] API need no per-layer knowledge.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// timeline artifact need no per-layer knowledge. This is the artifact
+/// shape; sampling runs on [`crate::MetricsFrame`] and re-joins names here
+/// only when an artifact is written.
+#[derive(Debug, Clone, Serialize)]
 pub struct Snapshot {
     /// Simulation time the snapshot was taken at, in nanoseconds.
     pub at_ns: u64,
@@ -102,78 +104,9 @@ impl Snapshot {
         }
     }
 
-    /// The change since `base`: counter-wise and link-wise saturating
-    /// subtraction. The `blocking` distribution cannot be subtracted (it is
-    /// a summary, not raw samples), so the later snapshot's summary is kept
-    /// as-is.
-    pub fn delta(&self, base: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| {
-                let b = base.counters.get(k).copied().unwrap_or(0);
-                (k.clone(), v.saturating_sub(b))
-            })
-            .collect();
-        let links = self
-            .links
-            .iter()
-            .map(|l| {
-                let b = base.links.iter().find(|bl| bl.link == l.link);
-                match b {
-                    Some(b) => LinkLoad {
-                        link: l.link.clone(),
-                        fwd_bytes: l.fwd_bytes.saturating_sub(b.fwd_bytes),
-                        rev_bytes: l.rev_bytes.saturating_sub(b.rev_bytes),
-                        fwd_blocked_ns: l.fwd_blocked_ns.saturating_sub(b.fwd_blocked_ns),
-                        rev_blocked_ns: l.rev_blocked_ns.saturating_sub(b.rev_blocked_ns),
-                    },
-                    None => l.clone(),
-                }
-            })
-            .collect();
-        Snapshot {
-            at_ns: self.at_ns.saturating_sub(base.at_ns),
-            counters,
-            links,
-            blocking: self.blocking,
-        }
-    }
-
     /// A counter value, defaulting to 0 when absent.
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Monotonicity audit: every counter or link-load value that went
-    /// *backwards* since `base`, described one string per regression (in
-    /// sorted counter order, then link order). Counters present only in
-    /// `base` count as regressions to zero. [`Snapshot::delta`] saturates
-    /// such regressions away; this is the companion that *flags* them, so
-    /// health monitors can surface wrap/reset bugs instead of hiding them.
-    pub fn regressions(&self, base: &Snapshot) -> Vec<String> {
-        let mut out = Vec::new();
-        for (k, &b) in &base.counters {
-            let v = self.counter(k);
-            if v < b {
-                out.push(format!("counter {k} regressed: {b} -> {v}"));
-            }
-        }
-        for bl in &base.links {
-            if let Some(l) = self.links.iter().find(|l| l.link == bl.link) {
-                for (field, b, v) in [
-                    ("fwd_bytes", bl.fwd_bytes, l.fwd_bytes),
-                    ("rev_bytes", bl.rev_bytes, l.rev_bytes),
-                    ("fwd_blocked_ns", bl.fwd_blocked_ns, l.fwd_blocked_ns),
-                    ("rev_blocked_ns", bl.rev_blocked_ns, l.rev_blocked_ns),
-                ] {
-                    if v < b {
-                        out.push(format!("link {} {field} regressed: {b} -> {v}", l.link));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Render as pretty JSON.
@@ -208,66 +141,6 @@ mod tests {
             rev_blocked_ns: 0,
         });
         s
-    }
-
-    #[test]
-    fn delta_subtracts_counters_and_links() {
-        let base = sample_snapshot(1);
-        let later = sample_snapshot(3);
-        let d = later.delta(&base);
-        assert_eq!(d.at_ns, 2000);
-        assert_eq!(d.counter("net.injected"), 20);
-        assert_eq!(d.counter("nic.0.itb_detects"), 6);
-        assert_eq!(d.counter("absent"), 0);
-        assert_eq!(d.links[0].fwd_bytes, 1024);
-        assert_eq!(d.links[0].fwd_blocked_ns, 200);
-    }
-
-    #[test]
-    fn delta_saturates_and_keeps_unmatched_links() {
-        let mut base = sample_snapshot(2);
-        base.counters.insert("only.in.base".into(), 5);
-        let mut later = sample_snapshot(1);
-        later.links.push(LinkLoad {
-            link: "s0-s1".into(),
-            fwd_bytes: 7,
-            rev_bytes: 0,
-            fwd_blocked_ns: 0,
-            rev_blocked_ns: 0,
-        });
-        let d = later.delta(&base);
-        // later < base saturates to zero instead of wrapping.
-        assert_eq!(d.counter("net.injected"), 0);
-        // Links absent from the base pass through unchanged.
-        assert_eq!(d.links[1].fwd_bytes, 7);
-    }
-
-    #[test]
-    fn delta_on_regressed_counter_saturates_and_regressions_flags_it() {
-        // A counter going backwards (engine bug / reset) must never wrap in
-        // delta() — and must be *visible* through regressions().
-        let mut base = sample_snapshot(1);
-        base.counters.insert("net.injected".into(), 100);
-        base.links[0].fwd_bytes = 10_000;
-        let mut later = sample_snapshot(1);
-        later.counters.insert("net.injected".into(), 90);
-        later.links[0].fwd_bytes = 9_000;
-        let d = later.delta(&base);
-        assert_eq!(d.counter("net.injected"), 0, "saturate, never wrap");
-        assert_eq!(d.links[0].fwd_bytes, 0, "saturate, never wrap");
-        let regs = later.regressions(&base);
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs[0].contains("net.injected regressed: 100 -> 90"));
-        assert!(regs[1].contains("h0-s0 fwd_bytes regressed"));
-        // A counter that vanished entirely regresses to zero.
-        let mut gone = sample_snapshot(1);
-        gone.counters.remove("net.injected");
-        let regs = gone.regressions(&base);
-        assert!(regs.iter().any(|r| r.contains("100 -> 0")), "{regs:?}");
-        // Monotonic growth reports nothing.
-        assert!(sample_snapshot(2)
-            .regressions(&sample_snapshot(1))
-            .is_empty());
     }
 
     #[test]

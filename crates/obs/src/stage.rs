@@ -1,12 +1,12 @@
 //! Typed packet-lifecycle stages.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One stage in a packet's life, recorded by the layer that owns the moment.
 ///
 /// The dot-notation names mirror the layering: `host.*` is the GM software,
 /// `mcp.*` the LANai firmware, `net.*` the wormhole fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Stage {
     /// Host software hands a packet to its NIC (`host.inject`). The packet's
     /// stable id is allocated here.

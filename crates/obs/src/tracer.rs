@@ -2,10 +2,10 @@
 
 use crate::stage::Stage;
 use itb_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One recorded lifecycle moment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StageEvent {
     /// The network's stable packet id.
     pub packet: u64,

@@ -6,11 +6,11 @@ use crate::path::SourceRoute;
 use crate::table::RouteTable;
 use crate::updown::BfsTree;
 use itb_topo::{Node, SwitchId, Topology, UpDown};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Aggregate statistics over an all-pairs route set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RouteSetMetrics {
     /// Mean inter-switch links per route.
     pub mean_links: f64,

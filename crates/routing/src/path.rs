@@ -1,11 +1,11 @@
 //! Path and route types.
 
 use itb_topo::{HostId, LinkId, PortIx, SwitchId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One switch crossing: the packet is inside `switch` and leaves through
 /// `out_port`. The link it leaves on is `topology.link_at(switch, out_port)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Hop {
     /// Switch being crossed.
     pub switch: SwitchId,
@@ -25,7 +25,7 @@ impl Hop {
 
 /// One up\*/down\*-legal piece of a route: from a host, across `hops`
 /// switches, to another host.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Segment {
     /// Host injecting this segment (the source or an in-transit host).
     pub from: HostId,
@@ -95,7 +95,7 @@ impl Segment {
 /// A complete source route: one segment for plain up\*/down\*, several when
 /// in-transit buffers are used. Segment *k* ends at the host that re-injects
 /// segment *k+1*.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SourceRoute {
     /// Originating host.
     pub src: HostId,

@@ -4,10 +4,10 @@ use crate::path::SourceRoute;
 use crate::planner::{ItbHostSelection, ItbPlanner, ItbSearch, PlannerError, SwitchHosts};
 use crate::updown::BfsTree;
 use itb_topo::{HostId, Topology, UpDown};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which route computation the mapper runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RoutingPolicy {
     /// Stock Myrinet: shortest up\*/down\*-legal paths.
     UpDown,

@@ -24,7 +24,7 @@
 //! `from_ns_f64`, never through a bare `as u64` on a division result.
 
 use crate::time::{Bandwidth, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An integer per-byte service interval: the quantised form of a
 /// flow-level rate allocation.
@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// `Bandwidth` is configured hardware truth (always exact), a
 /// `ByteInterval` is the *output of a float solver* and carries the
 /// one-time quantisation documented at the module level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ByteInterval {
     ps_per_byte: u64,
 }

@@ -1,6 +1,6 @@
 //! Streaming statistics for experiment harnesses.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimDuration;
 
@@ -200,11 +200,9 @@ impl Serialize for Accum {
     }
 }
 
-impl Deserialize for Accum {}
-
 /// A named (x, y) series — the unit of figure reproduction. Each paper curve
 /// ("Original MCP code", "UD-ITB", …) becomes one `Series`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Series {
     /// Curve label as it would appear in the figure legend.
     pub label: String,
@@ -265,7 +263,7 @@ impl Series {
 /// Streaming quantile estimator — the P² (piecewise-parabolic) algorithm of
 /// Jain & Chlamtac. Tracks one quantile in O(1) memory without storing
 /// samples; used for tail latencies (p99) in the loaded-network sweeps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights.

@@ -8,20 +8,16 @@
 //! * LANai 7 clock: 66 MHz → 15 151 ps per cycle (15.151 ns, < 0.01 % error),
 //! * PCI 64/33 burst: 264 MB/s → 3 787 ps per byte.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An absolute instant on the simulation clock, in picoseconds since t = 0.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -254,7 +250,7 @@ impl fmt::Display for SimDuration {
 ///
 /// Keeping the rate in time-per-byte (rather than bytes-per-time) makes
 /// transfer-completion arithmetic a single multiply with no division.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Bandwidth {
     ps_per_byte: u64,
 }

@@ -2,10 +2,10 @@
 
 use crate::ids::{HostId, LinkId, Node, PortIx, PortKind, SwitchId};
 use itb_sim::{narrow, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One end of a link: a node and the port it plugs into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Endpoint {
     /// Node holding the port.
     pub node: Node,
@@ -31,7 +31,7 @@ impl Endpoint {
 }
 
 /// A full-duplex point-to-point cable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Link {
     /// One end.
     pub a: Endpoint,
@@ -70,7 +70,7 @@ impl Link {
 }
 
 /// Per-switch data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct SwitchInfo {
     /// Port kind per port index.
     port_kinds: Vec<PortKind>,
@@ -79,7 +79,7 @@ struct SwitchInfo {
 }
 
 /// Per-host data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct HostInfo {
     /// The host NIC's port kind (M2L cards are LAN, M2M cards are SAN).
     nic_kind: PortKind,
@@ -92,7 +92,7 @@ struct HostInfo {
 /// Build with the [`crate::builders`] helpers or incrementally with
 /// [`Topology::add_switch`], [`Topology::add_host`] and the `connect_*`
 /// methods; finish with [`Topology::validate`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Topology {
     switches: Vec<SwitchInfo>,
     hosts: Vec<HostInfo>,

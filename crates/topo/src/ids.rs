@@ -3,24 +3,24 @@
 //! Indices are deliberately narrow (`u16`/`u8`) per the hot-type guidance:
 //! `Endpoint` and route hops are copied constantly inside the network model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Index of a switch within a [`crate::Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct SwitchId(pub u16);
 
 /// Index of a host within a [`crate::Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct HostId(pub u16);
 
 /// Index of a link within a [`crate::Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct LinkId(pub u32);
 
 /// A port number within a node. Myrinet switch ports are identified by small
 /// integers; the leading byte of a source route names the output port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PortIx(pub u8);
 
 impl SwitchId {
@@ -69,7 +69,7 @@ impl fmt::Display for PortIx {
 }
 
 /// A node at the end of a link: either a switch or a host NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Node {
     /// An 8-port (by default) Myrinet switch.
     Switch(SwitchId),
@@ -106,7 +106,7 @@ impl fmt::Display for Node {
 /// Myrinet port/cable flavour. The paper's testbed mixes both: the M2FM-SW8
 /// switch has 4 LAN and 4 SAN ports, and switch fall-through latency depends
 /// on which kinds a packet traverses (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PortKind {
     /// System-area (short, fast) port.
     San,

@@ -46,11 +46,12 @@ chaos_b=$(mktemp -d)
 par_a=$(mktemp -d)
 par_b=$(mktemp -d)
 stall_a=$(mktemp -d)
+stall_b=$(mktemp -d)
 mc_a=$(mktemp -d)
 mc_b=$(mktemp -d)
 dl_a=$(mktemp -d)
 dl_b=$(mktemp -d)
-trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$mc_a" "$mc_b" "$dl_a" "$dl_b"' EXIT
+trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
@@ -65,6 +66,12 @@ cmp "$chaos_a/health_report.json" "$chaos_b/health_report.json"
 
 echo "== health stall self-test (watchdog must flag an unroutable fabric) =="
 ITB_RESULTS_DIR="$stall_a" cargo run --release -q -p itb-bench --bin health_stall
+echo "== health stall determinism (same run twice, byte-identical artifacts) =="
+# The only CI run where the watchdog fires: its timeline and report (with
+# the blocked set) are sim-time facts and must reproduce byte for byte.
+ITB_RESULTS_DIR="$stall_b" cargo run --release -q -p itb-bench --bin health_stall
+cmp "$stall_a/health_stall_timeline.jsonl" "$stall_b/health_stall_timeline.jsonl"
+cmp "$stall_a/health_report.json" "$stall_b/health_report.json"
 
 echo "== ledger correctness (every workload matches its committed digest) =="
 # One short untraced ledger run per workload at seed 1. Each must report

@@ -112,3 +112,49 @@ fn back_to_back_multi_packet_messages_keep_sequence_order() {
         .sum();
     assert_eq!(retrans, 0, "loss-free fabric must not retransmit");
 }
+
+#[test]
+fn go_back_n_resends_keep_connection_submission_order() {
+    // Regression: go-back-N resends were staggered from the retransmission
+    // check and bypassed the connection's submit clock, so an ACK-driven
+    // window refill could be scheduled between two resends and reach the
+    // NIC ahead of them, where the receiver dropped it as out of order. A
+    // timeout shorter than one window's round trip makes the sender resend
+    // while ACKs for the originals are still arriving.
+    use itb_myrinet::gm::cluster::{ClusterEvent, HostEvent};
+    use itb_myrinet::sim::{EventQueue, SimDuration, World};
+
+    let mut spec = ClusterSpec::irregular(8, 1);
+    spec.calib.gm.reliability = true;
+    spec.calib.gm.retrans_timeout = SimDuration::from_us(20);
+    let (src, dst) = (HostId(0), HostId(1));
+    let mut behaviors = vec![itb_myrinet::gm::AppBehavior::Sink; spec.num_hosts()];
+    behaviors[src.idx()] = itb_myrinet::gm::AppBehavior::Stream {
+        dst,
+        size: 4096,
+        count: 32,
+    };
+    let mut cluster = spec.build(behaviors);
+    let mut q = EventQueue::new();
+    cluster.start(&mut q);
+    // Drive the loop by hand to see each submission as it fires. The
+    // sender only submits data to `dst` (ACKs go out as `SendAck`), and
+    // tokens are drawn in scheduling order.
+    let mut fired = Vec::new();
+    while let Some((now, ev)) = q.pop() {
+        if let ClusterEvent::Host(HostEvent::SubmitPacket { host, token }) = ev {
+            if host == src {
+                fired.push(token);
+            }
+        }
+        cluster.handle(now, ev, &mut q);
+    }
+    assert_eq!(cluster.delivered_count(), 32);
+    let retrans: u64 = cluster.host(src).tx.iter().map(|t| t.retransmissions).sum();
+    assert!(retrans > 0, "the short timeout must trigger go-back-N");
+    let out_of_order: Vec<_> = fired.windows(2).filter(|w| w[0] > w[1]).collect();
+    assert!(
+        out_of_order.is_empty(),
+        "submissions fired out of scheduling order: {out_of_order:?}"
+    );
+}

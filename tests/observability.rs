@@ -43,8 +43,7 @@ fn healthy_run_yields_timeline_samples_and_clean_health_report() {
     // health monitor checks online).
     let finale = c.metrics_snapshot(now);
     let mut summed = 0u64;
-    // rows() materializes frame-path samples into the classic artifact
-    // shape; the cluster records through the allocation-free frame path.
+    // rows() re-joins the recorded delta frames with the metric names.
     for s in timeline.rows() {
         assert_eq!(s.interval_ns, 50_000);
         summed += s.delta.counters.get("net.delivered").copied().unwrap_or(0);
@@ -56,8 +55,15 @@ fn healthy_run_yields_timeline_samples_and_clean_health_report() {
     // JSONL export: one line per sample, each carrying its sim timestamp.
     let jsonl = timeline.to_jsonl();
     assert_eq!(jsonl.lines().count(), timeline.len());
+    // Exact bytes, so a change that moves the artifact fails here rather
+    // than only in a same-build double-run comparison.
+    assert!(
+        jsonl == include_str!("fixtures/fig6_stream_timeline.jsonl"),
+        "timeline JSONL moved from tests/fixtures/fig6_stream_timeline.jsonl"
+    );
 
     let report = c.health_report(now).expect("health was enabled");
+    assert_eq!(report.to_json(), PINNED_HEALTH_REPORT);
     assert!(report.healthy, "clean run flagged: {:?}", report.violations);
     assert!(report.samples > 0);
     assert!(
@@ -119,3 +125,16 @@ fn stall_watchdog_flags_an_unroutable_fabric() {
         report.violations
     );
 }
+
+/// The healthy run's report, byte for byte. The stream is fully delivered
+/// before the first sample at 50 us, so no later sample sees progress and
+/// `last_progress_ns` stays 0.
+const PINNED_HEALTH_REPORT: &str = r#"{
+  "healthy": true,
+  "samples": 21,
+  "stall_budget_ns": 5000000,
+  "last_progress_ns": 0,
+  "end_ns": 1000000,
+  "buffers_audited": 6,
+  "violations": []
+}"#;
