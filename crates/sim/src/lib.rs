@@ -8,9 +8,12 @@
 //! * [`SimTime`] / [`SimDuration`] — integer picosecond simulation clock.
 //!   Picoseconds keep link byte-times (6.25 ns at 160 MB/s) and LANai cycle
 //!   times (15.15 ns at 66 MHz) exact, with headroom for multi-second runs.
-//! * [`EventQueue`] — a 4-ary-heap calendar with a deterministic FIFO
-//!   tie-break for simultaneous events, so identical seeds yield identical
-//!   runs bit for bit.
+//! * [`EventQueue`] — a 4-ary-heap calendar with constant-delay FIFO lanes
+//!   in front of it and a deterministic FIFO tie-break for simultaneous
+//!   events, so identical seeds yield identical runs bit for bit. Entries
+//!   scheduled with one delay are already in key order (the clock never
+//!   goes back and sequence numbers rise), so a lane pops in O(1) and the
+//!   pop order is exactly that of a single heap.
 //! * [`fxmap`] — deterministic fixed-seed hashing for the hot per-packet
 //!   maps (no SipHash cost, no per-process iteration-order randomness).
 //! * [`World`] / [`run_until`] — the minimal event-loop contract used by the

@@ -1,4 +1,26 @@
-//! Deterministic event calendar.
+//! Deterministic event calendar: a d-ary heap plus constant-delay FIFO
+//! lanes.
+//!
+//! Most pushes in a packet simulation reuse a handful of delays — the flit
+//! serialisation time, and that time plus the link propagation delay. An
+//! entry scheduled through [`EventQueue::schedule`] with delay
+//! `d = at - now` is stamped `rank_time = now` and a rising sequence number,
+//! and `now` never decreases. So among entries sharing one `d`, schedule
+//! order *is* key order: a FIFO of them is already sorted by the full
+//! `(time, rank_time, rank)` key, and popping its front is O(1).
+//!
+//! The queue keeps [`LANES`] such FIFOs in front of the heap. A push whose
+//! delay matches a lane's tag appends to it; otherwise it claims an
+//! untagged lane, or falls back to the heap. After [`MISS_WINDOW`] heap
+//! fallbacks the coldest lane (fewest pushes in the window) is drained into
+//! the heap and untagged, so lanes follow the delays that are hot now, not
+//! the ones that arrived first. [`EventQueue::schedule_ranked`] always uses
+//! the heap: its `rank_time` is not the queue clock.
+//!
+//! A pop takes the smallest key among the heap top and the lane fronts.
+//! Keys are unique, so the pop order is the one a single heap holding every
+//! entry would give — where an entry waits never shows in the order
+//! (`crates/sim/tests/queue_determinism.rs` is the differential proof).
 
 use crate::time::{SimDuration, SimTime};
 
@@ -21,19 +43,22 @@ struct Entry<E> {
     event: E,
 }
 
+/// Total order of the calendar: `(time, rank_time, rank)`.
+///
+/// Keys are unique (the `seq` low bits of `rank` increment on every
+/// schedule), so any heap discipline and any split between heap and lanes
+/// pops entries in exactly this order.
+///
+/// In a sequential run this order equals the historical `(time, seq)`
+/// order: `rank_time` is the queue clock at schedule time, which never
+/// decreases as `seq` increases, and the shard bits are constantly 0 — so
+/// among entries with equal `time`, sorting by `(rank_time, rank)` sorts by
+/// `seq`.
+type Key = (SimTime, SimTime, u64);
+
 impl<E> Entry<E> {
-    /// Total order on `(time, rank_time, rank)`. Keys are unique (the `seq`
-    /// low bits of `rank` increment on every schedule), so any heap
-    /// discipline pops entries in exactly this order — the heap's arity
-    /// cannot perturb determinism.
-    ///
-    /// In a sequential run this order equals the historical `(time, seq)`
-    /// order: `rank_time` is the queue clock at schedule time, which never
-    /// decreases as `seq` increases, and the shard bits are constantly 0 —
-    /// so among entries with equal `time`, sorting by `(rank_time, rank)`
-    /// sorts by `seq`.
     #[inline]
-    fn key(&self) -> (SimTime, SimTime, u64) {
+    fn key(&self) -> Key {
         (self.time, self.rank_time, self.rank)
     }
 }
@@ -52,19 +77,86 @@ const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
 /// whole-simulation profile moves out of the queue vs `BinaryHeap`).
 const D: usize = 4;
 
+/// Number of constant-delay FIFO lanes. Recorded queue traces put 89-99%
+/// of pushes on two or three delays; the spare lanes absorb start-up and
+/// timer delays until recycling hands them to a hot one.
+const LANES: usize = 8;
+
+/// Heap fallbacks between two lane-recycling decisions.
+const MISS_WINDOW: u32 = 256;
+
+/// Nodes the lane slab reserves on its first push: a closed-loop run with
+/// a few events in flight then allocates it once, not once per doubling.
+const SLAB_START: usize = 32;
+
+/// "No node" link in the lane slab.
+const NIL: usize = usize::MAX;
+
+/// One constant-delay FIFO: an intrusive singly linked list through the
+/// queue's node slab. Every entry in it was scheduled with delay `delay`.
+#[derive(Clone, Copy)]
+struct Lane {
+    /// The delay every entry of this lane was scheduled with; `None` while
+    /// the lane is free to claim (then it is also empty).
+    delay: Option<SimDuration>,
+    /// Key of the front entry (valid while `len > 0`), cached so a pop
+    /// compares lanes without touching the slab.
+    front: Key,
+    head: usize,
+    tail: usize,
+    len: usize,
+    /// Pushes since the last recycling decision (64 bits: a run with no
+    /// misses never resets it).
+    hits: u64,
+}
+
+impl Lane {
+    const FREE: Lane = Lane {
+        delay: None,
+        front: (SimTime::ZERO, SimTime::ZERO, 0),
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        hits: 0,
+    };
+}
+
+/// A lane entry in the shared slab. `event` is `Some` exactly while the
+/// node is linked into a lane; free nodes chain through `next`.
+struct Node<E> {
+    key: Key,
+    event: Option<E>,
+    next: usize,
+}
+
 /// A time-ordered event queue with deterministic FIFO ordering among
 /// simultaneous events.
 ///
 /// Determinism matters: the MCP firmware model resolves races (e.g. an
 /// in-transit packet arriving in the same picosecond the send DMA finishes)
 /// by event order, and reproducible experiments require that order to be a
-/// pure function of the schedule calls, never of heap internals. The
-/// `(time, seq)` key is unique per entry, so the d-ary heap used here pops
-/// in exactly the order the previous `BinaryHeap` implementation did (see
-/// `tests/queue_determinism.rs` for the differential proof).
+/// pure function of the schedule calls, never of heap internals or of which
+/// lane an entry waits in. The `(time, rank_time, rank)` key is unique per
+/// entry, and every lane holds its entries in key order (one delay, a
+/// non-decreasing clock, a rising sequence number), so the heap-and-lanes
+/// calendar pops in exactly the order of the `BinaryHeap` implementation it
+/// replaced (see the module docs and `crates/sim/tests/queue_determinism.rs`).
 pub struct EventQueue<E> {
     /// Min-heap on `(time, rank_time, rank)`, `D`-ary, rooted at index 0.
     heap: Vec<Entry<E>>,
+    /// Constant-delay FIFOs in front of the heap.
+    lanes: [Lane; LANES],
+    /// Storage for every lane entry; one allocation shared by all lanes.
+    slab: Vec<Node<E>>,
+    /// Head of the slab's free list.
+    free: usize,
+    /// The non-empty lane with the smallest front key, or [`LANES`] when
+    /// every lane is empty. Only a pop from that lane (or a recycle) can
+    /// change it to a lane that was already non-empty, so pops from the
+    /// heap compare one lane front, not all of them.
+    first: usize,
+    /// Heap fallbacks since the last recycling decision.
+    misses: u32,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -75,7 +167,7 @@ pub struct EventQueue<E> {
     rank_base: u64,
     /// Key of the most recently popped entry (see
     /// [`EventQueue::cross_shard_ties`]).
-    last_pop: Option<(SimTime, SimTime, u64)>,
+    last_pop: Option<Key>,
     /// Count of pops whose `(time, rank_time)` equalled the previous pop's
     /// while the shard bits of `rank` differed.
     cross_shard_ties: u64,
@@ -92,6 +184,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            lanes: [Lane::FREE; LANES],
+            slab: Vec::new(),
+            free: NIL,
+            first: LANES,
+            misses: 0,
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -107,9 +204,17 @@ impl<E> EventQueue<E> {
     /// the historical `(time, seq)` order exactly).
     ///
     /// # Panics
-    /// Panics if `shard` does not fit in the [`SHARD_BITS`] rank field.
+    /// Panics if `shard` does not fit in the [`SHARD_BITS`] rank field, or
+    /// if anything has been scheduled on this queue: a later change of the
+    /// rank would reorder ties against the entries already stamped, and
+    /// would break the key order inside a lane.
     pub fn set_shard_rank(&mut self, shard: u32) {
         assert!(shard < (1 << SHARD_BITS), "shard id {shard} out of range");
+        assert!(
+            self.seq == 0,
+            "set_shard_rank on a queue that has scheduled {} entries",
+            self.seq
+        );
         self.rank_base = u64::from(shard) << SEQ_BITS;
     }
 
@@ -137,14 +242,11 @@ impl<E> EventQueue<E> {
             "scheduled into the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq();
-        self.heap.push(Entry {
-            time: at,
-            rank_time: self.now,
-            rank: self.rank_base | seq,
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
+        let key = (at, self.now, self.rank_base | self.next_seq());
+        match self.lane_for(at - self.now) {
+            Some(lane) => self.lane_push(lane, key, event),
+            None => self.heap_push(key, event),
+        }
     }
 
     /// Schedule `event` at `at` with an explicit tie-break rank, preserving
@@ -169,14 +271,8 @@ impl<E> EventQueue<E> {
             rank_src < (1 << SHARD_BITS),
             "shard id {rank_src} out of range"
         );
-        let seq = self.next_seq();
-        self.heap.push(Entry {
-            time: at,
-            rank_time,
-            rank: (u64::from(rank_src) << SEQ_BITS) | seq,
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
+        let rank = (u64::from(rank_src) << SEQ_BITS) | self.next_seq();
+        self.heap_push((at, rank_time, rank), event);
     }
 
     /// Allocate the next tie-break sequence number.
@@ -200,29 +296,28 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        debug_assert!(entry.time >= self.now);
+        let top = self.heap.first().map(Entry::key);
+        let (key, event) = match self.lanes.get(self.first) {
+            Some(lane) if top.is_none_or(|k| lane.front < k) => {
+                let key = lane.front;
+                (key, self.lane_pop(self.first))
+            }
+            _ => (top?, self.heap_pop()),
+        };
+        let (time, rank_time, rank) = key;
+        debug_assert!(time >= self.now);
         // Entries sharing (time, rank_time) are contiguous in pop order, so
         // comparing each pop against only its predecessor sees every pair
         // of tied entries; differing shard bits flag a cross-shard tie.
         if let Some((t, rt, r)) = self.last_pop {
-            if t == entry.time
-                && rt == entry.rank_time
-                && (r >> SEQ_BITS) != (entry.rank >> SEQ_BITS)
-            {
+            if t == time && rt == rank_time && (r >> SEQ_BITS) != (rank >> SEQ_BITS) {
                 self.cross_shard_ties += 1;
             }
         }
-        self.last_pop = Some((entry.time, entry.rank_time, entry.rank));
-        self.now = entry.time;
+        self.last_pop = Some(key);
+        self.now = time;
         self.popped += 1;
-        Some((entry.time, entry.event))
+        Some((time, event))
     }
 
     /// Number of *cross-shard rank ties* dispatched so far: consecutive pops
@@ -241,43 +336,49 @@ impl<E> EventQueue<E> {
 
     /// Visit every pending entry in pop order — `(time, rank_time, event)`
     /// sorted by the full `(time, rank_time, rank)` key — without disturbing
-    /// the heap.
+    /// the queue.
     ///
     /// This exists for the model checker's world digest: the heap's array
-    /// layout depends on insertion history, but the *pop order* is the
-    /// canonical meaning of the queue's contents. The raw `rank` is
-    /// deliberately not exposed: its low bits are an ever-increasing
-    /// schedule counter, so two worlds that will dispatch identical events
-    /// at identical times would digest differently if the counter leaked
-    /// in. Relative order among ties is conveyed by iteration position,
-    /// which is all a digest needs (newly scheduled entries always receive
-    /// larger sequence numbers than every pending entry, so position is a
-    /// faithful stand-in for the counter).
+    /// layout and the lane an entry waits in depend on insertion history,
+    /// but the *pop order* is the canonical meaning of the queue's
+    /// contents. The raw `rank` is deliberately not exposed: its low bits
+    /// are an ever-increasing schedule counter, so two worlds that will
+    /// dispatch identical events at identical times would digest
+    /// differently if the counter leaked in. Relative order among ties is
+    /// conveyed by iteration position, which is all a digest needs (newly
+    /// scheduled entries always receive larger sequence numbers than every
+    /// pending entry, so position is a faithful stand-in for the counter).
     pub fn iter_ordered(&self) -> impl Iterator<Item = (SimTime, SimTime, &E)> {
-        let mut ix: Vec<usize> = (0..self.heap.len()).collect();
-        ix.sort_unstable_by_key(|&i| self.heap[i].key());
-        ix.into_iter().map(move |i| {
-            let e = &self.heap[i];
-            (e.time, e.rank_time, &e.event)
-        })
+        let in_heap = self.heap.iter().map(|e| (e.key(), &e.event));
+        let in_lanes = self
+            .slab
+            .iter()
+            .filter_map(|n| n.event.as_ref().map(|e| (n.key, e)));
+        let mut all: Vec<(Key, &E)> = in_heap.chain(in_lanes).collect();
+        all.sort_unstable_by_key(|&(k, _)| k);
+        all.into_iter().map(|((t, rt, _), e)| (t, rt, e))
     }
 
     /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        let top = self.heap.first().map(|e| e.time);
+        match self.lanes.get(self.first) {
+            Some(lane) if top.is_none_or(|t| lane.front.0 < t) => Some(lane.front.0),
+            _ => top,
+        }
     }
 
     /// Whether any events remain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.first == LANES
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|l| l.len).sum::<usize>()
     }
 
     /// Drop every pending event. The clock, dispatch count and tie-break
@@ -285,12 +386,153 @@ impl<E> EventQueue<E> {
     /// scheduled", not a brand-new queue.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free = NIL;
+        self.lanes = [Lane::FREE; LANES];
+        self.first = LANES;
+        self.misses = 0;
     }
 
     /// Pre-allocate room for `additional` more events (steady-state runs
     /// can reserve their working set once and never grow the heap again).
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
+    }
+
+    /// The lane a push with delay `d` goes to, or `None` for the heap. A
+    /// lane tagged `d` wins; else a free lane is tagged `d`; else the push
+    /// is a miss, and every [`MISS_WINDOW`] misses the coldest lane is
+    /// recycled.
+    #[inline]
+    fn lane_for(&mut self, d: SimDuration) -> Option<usize> {
+        let mut free = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            match lane.delay {
+                Some(ld) if ld == d => return Some(i),
+                None if free.is_none() => free = Some(i),
+                _ => {}
+            }
+        }
+        if let Some(i) = free {
+            self.lanes[i].delay = Some(d);
+            return Some(i);
+        }
+        self.misses += 1;
+        if self.misses == MISS_WINDOW {
+            self.recycle();
+        }
+        None
+    }
+
+    /// End a miss window: drain the coldest lane into the heap and free it
+    /// for the next missing delay, unless even that lane took at least as
+    /// many pushes as the heap fallback did. Every lane's count restarts.
+    #[cold]
+    fn recycle(&mut self) {
+        let mut coldest = 0;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.hits < self.lanes[coldest].hits {
+                coldest = i;
+            }
+        }
+        if self.lanes[coldest].hits < u64::from(self.misses) {
+            while self.lanes[coldest].len > 0 {
+                let key = self.lanes[coldest].front;
+                let event = self.lane_pop(coldest);
+                self.heap_push(key, event);
+            }
+            self.lanes[coldest] = Lane::FREE;
+        }
+        for lane in &mut self.lanes {
+            lane.hits = 0;
+        }
+        self.misses = 0;
+    }
+
+    /// Append an entry to lane `i`, whose tag is the entry's delay.
+    #[inline]
+    fn lane_push(&mut self, i: usize, key: Key, event: E) {
+        let node = Node {
+            key,
+            event: Some(event),
+            next: NIL,
+        };
+        let ix = if self.free == NIL {
+            if self.slab.capacity() == 0 {
+                self.slab.reserve_exact(SLAB_START);
+            }
+            self.slab.push(node);
+            self.slab.len() - 1
+        } else {
+            let ix = self.free;
+            self.free = self.slab[ix].next;
+            self.slab[ix] = node;
+            ix
+        };
+        if self.lanes[i].len == 0 {
+            if self.lanes.get(self.first).is_none_or(|f| key < f.front) {
+                self.first = i;
+            }
+            self.lanes[i].head = ix;
+            self.lanes[i].front = key;
+        } else {
+            self.slab[self.lanes[i].tail].next = ix;
+        }
+        let lane = &mut self.lanes[i];
+        lane.tail = ix;
+        lane.len += 1;
+        lane.hits += 1;
+    }
+
+    /// Unlink and return the front event of non-empty lane `i`.
+    #[inline]
+    fn lane_pop(&mut self, i: usize) -> E {
+        let lane = &mut self.lanes[i];
+        let ix = lane.head;
+        let node = &mut self.slab[ix];
+        let Some(event) = node.event.take() else {
+            unreachable!("lane {i} links slab node {ix}, which holds no event");
+        };
+        lane.head = node.next;
+        node.next = self.free;
+        self.free = ix;
+        lane.len -= 1;
+        if lane.len > 0 {
+            lane.front = self.slab[lane.head].key;
+        }
+        // This lane's front moved back (or it emptied): find the smallest
+        // front again.
+        let mut best: Option<Key> = None;
+        self.first = LANES;
+        for (j, lane) in self.lanes.iter().enumerate() {
+            if lane.len > 0 && best.is_none_or(|k| lane.front < k) {
+                best = Some(lane.front);
+                self.first = j;
+            }
+        }
+        event
+    }
+
+    /// Insert an entry into the heap.
+    #[inline]
+    fn heap_push(&mut self, (time, rank_time, rank): Key, event: E) {
+        self.heap.push(Entry {
+            time,
+            rank_time,
+            rank,
+            event,
+        });
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Remove the heap's minimum (the heap is non-empty).
+    #[inline]
+    fn heap_pop(&mut self) -> E {
+        let entry = self.heap.swap_remove(0);
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        entry.event
     }
 
     /// Move the entry at `i` up until its parent is no bigger.
@@ -472,6 +714,38 @@ mod tests {
         q.schedule_ranked(SimTime::from_ns(20), SimTime::from_ns(5), 2, "b");
         while q.pop().is_some() {}
         assert_eq!(q.cross_shard_ties(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_shard_rank on a queue that has scheduled 1 entries")]
+    fn set_shard_rank_after_a_schedule_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(1), ());
+        q.pop();
+        q.set_shard_rank(1);
+    }
+
+    #[test]
+    fn recycling_hands_a_lane_to_a_delay_that_arrives_late() {
+        let mut q = EventQueue::new();
+        // One-off timers claim every lane first.
+        for i in 0..LANES as u64 {
+            q.schedule(SimTime::from_us(1 + i), 1_000 + i);
+        }
+        let flit = SimDuration::from_ps(100_000);
+        for i in 0..2 * u64::from(MISS_WINDOW) {
+            q.schedule_after(flit, i);
+        }
+        assert!(
+            q.lanes.iter().any(|l| l.delay == Some(flit)),
+            "the flit delay holds a lane after one miss window"
+        );
+        // Heap and lane entries of one delay, and the drained timer, still
+        // pop in key order.
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let flits = 0..2 * u64::from(MISS_WINDOW);
+        let timers = 1_000..1_000 + LANES as u64;
+        assert_eq!(popped, flits.chain(timers).collect::<Vec<_>>());
     }
 
     #[test]

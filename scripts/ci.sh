@@ -88,6 +88,12 @@ for w in pingpong_fig6_itb poisson_128sw_itb stream_64sw_updown_4k hybrid_32sw_u
   esac
 done
 
+echo "== ledger unit tests (catalog vs BENCHMARK.json, traced vs untraced) =="
+# The benchmark's own tests: its workload catalog matches BENCHMARK.json,
+# a traced run reaches the same digest as an untraced one, and the record
+# and statistics code behaves.
+cargo test --release -q --offline --manifest-path ledger/Cargo.toml
+
 echo "== model check smoke (exhaustive interleavings, zero violations) =="
 # Depth-bounded exhaustive BFS over delivery/fault interleavings on the
 # two-host configs; any invariant violation (duplicate / reordered
