@@ -73,7 +73,7 @@ struct AuditReport {
     all_expectations_met: bool,
 }
 
-/// Render one CDG channel index as "link<N> <from> -> <to>".
+/// Render one CDG channel index as `"link<N> <from> -> <to>"`.
 fn decode_channel(topo: &Topology, chan: usize) -> String {
     let link = LinkId(u32::try_from(chan / 2).expect("link index fits u32"));
     let l = topo.link(link);

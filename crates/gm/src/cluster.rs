@@ -640,10 +640,9 @@ impl Cluster {
         if self.table.route(src, dst).is_none_or(|r| r.itb_count() > 0) {
             return false;
         }
-        fm.net
-            .switches_of(src, dst)
-            .iter()
-            .all(|&s| fm.plan.fidelity_of_switch(s) == RegionFidelity::Flow)
+        fm.net.path_all(src, dst, |s| {
+            fm.plan.fidelity_of_switch(s) == RegionFidelity::Flow
+        })
     }
 
     /// The per-region fidelity assignment as currently escalated (None
@@ -691,27 +690,20 @@ impl Cluster {
             // Hand every flow that now crosses a packet region back to the
             // packet path: close it and re-segment the remaining bytes
             // under the same message id (the record's length shrinks to
-            // what the packet path will actually deliver).
-            let ids: Vec<u64> = fm.net.ids().collect();
-            for id in ids {
-                // detlint::allow(S001, ids were just collected from the live set)
-                let flow = fm.net.get(id).expect("live flow");
-                let demoted = fm
-                    .net
-                    .switches_of(flow.src, flow.dst)
-                    .iter()
-                    .any(|&s| fm.plan.fidelity_of_switch(s) == RegionFidelity::Packet);
-                if demoted {
-                    // detlint::allow(S001, the id came from the live set above)
-                    let flow = fm.net.close(id).expect("live flow");
-                    let msg_id: u32 = narrow(id);
-                    let remaining: u32 = narrow(flow.remaining);
-                    if let Some(rec) = self.messages.get_mut(&msg_id) {
-                        rec.len = remaining;
-                    }
-                    self.hosts[flow.src.idx()].segment_message(flow.dst, remaining, msg_id);
-                    self.pump_conn(flow.src, flow.dst, now, true, q);
+            // what the packet path will actually deliver). One batch close
+            // in id order: `pump_conn` never touches the flow engine, so
+            // re-segmenting afterwards schedules the same events.
+            let demoted = fm
+                .net
+                .close_crossing(|s| fm.plan.fidelity_of_switch(s) == RegionFidelity::Packet);
+            for (id, flow) in demoted {
+                let msg_id: u32 = narrow(id);
+                let remaining: u32 = narrow(flow.remaining);
+                if let Some(rec) = self.messages.get_mut(&msg_id) {
+                    rec.len = remaining;
                 }
+                self.hosts[flow.src.idx()].segment_message(flow.dst, remaining, msg_id);
+                self.pump_conn(flow.src, flow.dst, now, true, q);
             }
             // The surviving flows re-share the freed capacity this round.
             fm.net.solve();
@@ -1074,9 +1066,7 @@ impl Cluster {
                 d.bool(matches!(f, RegionFidelity::Flow));
             }
             d.usize(fm.net.len());
-            for id in fm.net.ids() {
-                // detlint::allow(S001, iterating the live id set)
-                let f = fm.net.get(id).expect("live flow");
+            for (id, f) in fm.net.iter() {
                 d.u64(id);
                 d.u16(f.src.0);
                 d.u16(f.dst.0);

@@ -14,7 +14,7 @@
 //! * **T002 — unordered iteration feeding an ordered sink.** A `for` loop
 //!   directly over an `FxHashMap`/`FxHashSet` (fixed seed, but *insertion-
 //!   order dependent* iteration) whose body schedules events, feeds a
-//!   [`Digest`], or writes an exported artifact is flagged: the hazard
+//!   `Digest`, or writes an exported artifact is flagged: the hazard
 //!   class behind the PR 5 cross-shard-tie contract. Iterating a sorted
 //!   copy (collect + sort first) is the sanctioned shape and does not
 //!   match.

@@ -12,6 +12,18 @@
 //! only assigns *uncongested, ITB-free* regions to this model and
 //! escalates anything else to packet fidelity.
 //!
+//! ## Flow table
+//!
+//! Live flows sit in a dense table in ascending id order, one position
+//! per flow across parallel arrays: `ids`, `flows` (the `Copy` per-flow
+//! state) and `route_end`, the CSR end offsets into a single `routes`
+//! arena of directed channels. Like the GM mapper's routes, which are
+//! computed once and downloaded to the NIC as flat byte strings, a flow's
+//! path is written into the arena once at open and never reallocated.
+//! Callers allocate ids from a monotone counter, so opening is an append;
+//! completions and closes compact all four arrays in one linear pass. The
+//! solver indexes its per-flow scratch (`frozen`) by the same position.
+//!
 //! ## Determinism
 //!
 //! Everything is a pure function of the topology and the flow set:
@@ -22,7 +34,8 @@
 //!   channel index)` order under `f64::total_cmp` and freezes flows in id
 //!   order within each channel, so its f64 operations execute in a fixed
 //!   sequence — IEEE 754 arithmetic is deterministic when the operation
-//!   order is;
+//!   order is. Table positions are in id order, so "position order" and
+//!   "id order" are the same sequence;
 //! * each solved rate crosses to integer picoseconds exactly once via
 //!   [`ByteInterval::from_rate`]; rounds, completions and byte counts are
 //!   integer arithmetic from there on.
@@ -30,9 +43,9 @@
 //! Repeated runs therefore produce byte-identical flow schedules, and the
 //! engine's state digests can cover flow state directly.
 
-use crate::slab::IdSlab;
 use itb_sim::{narrow, ByteInterval, SimDuration};
 use itb_topo::{HostId, Node, SwitchId, Topology};
+use std::ops::Range;
 
 /// Directed-channel index: link `lid` carries channel `lid*2` in its
 /// `a → b` orientation and `lid*2 + 1` in `b → a` — the same convention
@@ -41,8 +54,8 @@ type Chan = u32;
 
 const NO_PRED: u16 = u16::MAX;
 
-/// One in-flight flow.
-#[derive(Debug, Clone)]
+/// One in-flight flow's state (its route lives in the [`FlowNet`] arena).
+#[derive(Debug, Clone, Copy)]
 pub struct Flow {
     /// Sending host.
     pub src: HostId,
@@ -52,18 +65,6 @@ pub struct Flow {
     pub remaining: u64,
     /// Quantised service interval from the last solve.
     pub interval: ByteInterval,
-    /// Directed channels the flow crosses, in path order.
-    route: Vec<Chan>,
-    /// Solver scratch: true once the flow's rate froze this solve.
-    frozen: bool,
-}
-
-impl Flow {
-    /// The directed channels the flow crosses, in path order (source
-    /// host uplink first, destination host downlink last).
-    pub fn route(&self) -> &[Chan] {
-        &self.route
-    }
 }
 
 /// A completion produced by [`FlowNet::advance`]: flow `id` finished
@@ -79,6 +80,9 @@ pub struct FlowCompletion {
 
 /// The flow-level fabric: deterministic shortest routes, max-min fair
 /// rate allocation, coarse-round service.
+///
+/// Flow `i` (table position, ascending id) is `ids[i]`, `flows[i]`, and
+/// the route `routes[route_end[i-1]..route_end[i]]` (from 0 for `i = 0`).
 pub struct FlowNet {
     switches: usize,
     /// Flat `switches × switches` BFS predecessor matrix: `pred[root *
@@ -95,7 +99,14 @@ pub struct FlowNet {
     /// Per-channel capacity in bytes/ns (uniform per link direction,
     /// from the configured link bandwidth).
     cap: Vec<f64>,
-    flows: IdSlab<Flow>,
+    /// Live flow ids, strictly ascending.
+    ids: Vec<u64>,
+    /// Per-flow state, parallel to `ids`.
+    flows: Vec<Flow>,
+    /// CSR end offset of each flow's route in `routes`, parallel to `ids`.
+    route_end: Vec<u32>,
+    /// Every live flow's directed channels, in path order, back to back.
+    routes: Vec<Chan>,
     /// Live flows per directed channel, maintained on open/close/complete.
     /// This — not utilisation — is the escalation signal: a work-conserving
     /// max-min solve drives every busy flow's bottleneck to 100% by
@@ -108,10 +119,11 @@ pub struct FlowNet {
     alloc: Vec<f64>,
     /// Solver scratch: unfrozen flows per channel during a solve.
     load: Vec<u32>,
+    /// Solver scratch: true once the flow at that table position froze.
+    frozen: Vec<bool>,
     /// Solver scratch, reused across solves so the steady-state hot path
-    /// allocates nothing: live flow ids, CSR offsets/cursor/items for the
-    /// channel→flow adjacency, and the bottleneck heap's backing store.
-    scratch_ids: Vec<u64>,
+    /// allocates nothing: CSR offsets/cursor/items for the channel→flow
+    /// adjacency, and the bottleneck heap's backing store.
     scratch_off: Vec<u32>,
     scratch_cursor: Vec<u32>,
     scratch_items: Vec<u32>,
@@ -126,7 +138,7 @@ impl FlowNet {
     ///
     /// Runs one BFS per switch to fill the predecessor matrix — O(V·E),
     /// a few milliseconds at 1024 switches — so route lookup afterwards
-    /// is a pure parent walk with no allocation beyond the route buffer.
+    /// is a pure parent walk that writes straight into the route arena.
     pub fn new(topo: &Topology, link_bytes_per_ns: f64) -> Self {
         let n = topo.num_switches();
         assert!(n > 0, "flow fabric needs at least one switch");
@@ -172,11 +184,14 @@ impl FlowNet {
             host_up,
             host_down,
             cap: vec![link_bytes_per_ns; channels],
-            flows: IdSlab::default(),
+            ids: Vec::new(),
+            flows: Vec::new(),
+            route_end: Vec::new(),
+            routes: Vec::new(),
             occupancy: vec![0; channels],
             alloc: vec![0.0; channels],
             load: vec![0; channels],
-            scratch_ids: Vec::new(),
+            frozen: Vec::new(),
             scratch_off: Vec::new(),
             scratch_cursor: Vec::new(),
             scratch_items: Vec::new(),
@@ -186,77 +201,124 @@ impl FlowNet {
         }
     }
 
-    /// Open flow `id` (the caller's message id; ids must be roughly
-    /// increasing, per the [`IdSlab`] sliding-window contract) carrying
-    /// `bytes` from `src` to `dst`. The route is fixed at open time.
+    /// Open flow `id` (the caller's message id) carrying `bytes` from
+    /// `src` to `dst`. The route is fixed at open time: source uplink,
+    /// inter-switch hops (BFS shortest path), destination downlink;
+    /// intra-switch flows cross just the two host links.
     ///
     /// The new flow serves at a stalled rate until the next [`solve`] —
     /// callers re-solve at the round boundary after admitting arrivals.
     ///
+    /// # Panics
+    /// Panics unless `id` is above every live flow's id: the table is
+    /// kept in id order by appending, and a reused id would shadow a live
+    /// flow whose channel occupancy then never drains.
+    ///
     /// [`solve`]: FlowNet::solve
     pub fn open(&mut self, id: u64, src: HostId, dst: HostId, bytes: u64) {
-        let route = self.route_of(src, dst);
-        for &c in &route {
-            self.occupancy[c as usize] += 1;
+        if let Some(&last) = self.ids.last() {
+            assert!(
+                id > last,
+                "flow id {id} opened after live flow id {last}: flow ids must be unique and increasing"
+            );
         }
-        self.flows.insert(
-            id,
-            Flow {
-                src,
-                dst,
-                remaining: bytes,
-                interval: ByteInterval::from_rate(0.0),
-                route,
-                frozen: false,
-            },
-        );
-    }
-
-    /// Close flow `id` early (escalation hand-back), returning it so the
-    /// caller can re-inject the remaining bytes through the packet path.
-    pub fn close(&mut self, id: u64) -> Option<Flow> {
-        let flow = self.flows.remove(id)?;
-        for &c in &flow.route {
-            self.occupancy[c as usize] -= 1;
-        }
-        Some(flow)
-    }
-
-    /// The switch path a `src → dst` flow takes, as directed channels:
-    /// source uplink, inter-switch hops (BFS shortest path), destination
-    /// downlink. Intra-switch flows cross just the two host links.
-    fn route_of(&self, src: HostId, dst: HostId) -> Vec<Chan> {
+        let start = self.routes.len();
         let s0 = usize::from(self.host_switch[src.idx()]);
-        let s1 = usize::from(self.host_switch[dst.idx()]);
-        let mut rev = Vec::new();
-        rev.push(self.host_down[dst.idx()]);
         let base = s0 * self.switches;
-        let mut v = s1;
+        self.routes.push(self.host_down[dst.idx()]);
+        let mut v = usize::from(self.host_switch[dst.idx()]);
         while v != s0 {
             let p = self.pred[base + v];
             assert!(p != NO_PRED, "validated topologies are connected");
-            rev.push(self.hop_chan[base + v]);
+            self.routes.push(self.hop_chan[base + v]);
             v = usize::from(p);
         }
-        rev.push(self.host_up[src.idx()]);
-        rev.reverse();
-        rev
+        self.routes.push(self.host_up[src.idx()]);
+        let route = &mut self.routes[start..];
+        route.reverse();
+        for &c in route.iter() {
+            self.occupancy[c as usize] += 1;
+        }
+        self.route_end.push(narrow(self.routes.len()));
+        self.ids.push(id);
+        self.flows.push(Flow {
+            src,
+            dst,
+            remaining: bytes,
+            interval: ByteInterval::from_rate(0.0),
+        });
     }
 
-    /// The switches flow `id`'s path crosses (attachment switches
-    /// included), for region-fidelity checks. Deterministic path order.
-    pub fn switches_of(&self, src: HostId, dst: HostId) -> Vec<SwitchId> {
+    /// Close every live flow whose path crosses a switch for which
+    /// `crosses` holds (escalation hand-back), returning the closed flows
+    /// in id order so the caller can re-inject their remaining bytes
+    /// through the packet path. One compaction pass over the table.
+    pub fn close_crossing(
+        &mut self,
+        mut crosses: impl FnMut(SwitchId) -> bool,
+    ) -> Vec<(u64, Flow)> {
+        let mut closed = Vec::new();
+        self.retain(|net, id, f| {
+            let keep = net.path_all(f.src, f.dst, |s| !crosses(s));
+            if !keep {
+                closed.push((id, *f));
+            }
+            keep
+        });
+        closed
+    }
+
+    /// Whether every switch on the `src → dst` flow path (attachment
+    /// switches included) satisfies `pred`, for region-fidelity checks.
+    /// Walks the predecessor matrix from the destination end and
+    /// allocates nothing.
+    pub fn path_all(
+        &self,
+        src: HostId,
+        dst: HostId,
+        mut pred: impl FnMut(SwitchId) -> bool,
+    ) -> bool {
         let s0 = usize::from(self.host_switch[src.idx()]);
-        let s1 = usize::from(self.host_switch[dst.idx()]);
         let base = s0 * self.switches;
-        let mut rev = vec![SwitchId(narrow(s1))];
-        let mut v = s1;
-        while v != s0 {
+        let mut v = usize::from(self.host_switch[dst.idx()]);
+        loop {
+            if !pred(SwitchId(narrow(v))) {
+                return false;
+            }
+            if v == s0 {
+                return true;
+            }
             v = usize::from(self.pred[base + v]);
-            rev.push(SwitchId(narrow(v)));
         }
-        rev.reverse();
-        rev
+    }
+
+    /// Keep the flows for which `keep` returns true (it may update the
+    /// flow), dropping the rest and releasing their channels. One pass in
+    /// id order compacts `ids`, `flows`, `route_end` and the route arena.
+    fn retain(&mut self, mut keep: impl FnMut(&FlowNet, u64, &mut Flow) -> bool) {
+        let (mut kept, mut start, mut arena) = (0, 0, 0);
+        for i in 0..self.ids.len() {
+            let end = self.route_end[i] as usize;
+            let id = self.ids[i];
+            let mut f = self.flows[i];
+            if keep(self, id, &mut f) {
+                self.routes.copy_within(start..end, arena);
+                arena += end - start;
+                self.ids[kept] = id;
+                self.flows[kept] = f;
+                self.route_end[kept] = narrow(arena);
+                kept += 1;
+            } else {
+                for &c in &self.routes[start..end] {
+                    self.occupancy[c as usize] -= 1;
+                }
+            }
+            start = end;
+        }
+        self.ids.truncate(kept);
+        self.flows.truncate(kept);
+        self.route_end.truncate(kept);
+        self.routes.truncate(arena);
     }
 
     /// Max-min fair allocation over the current flow set, computed
@@ -278,12 +340,12 @@ impl FlowNet {
     ///
     /// Determinism: heap order is `f64::total_cmp` on the saturation
     /// level with ties to the lowest channel index, per-channel flow
-    /// lists are in flow-id order, and a popped snapshot whose channel
-    /// has since risen is re-pushed at the recomputed level rather than
-    /// acted on — every f64 operation executes in a fixed sequence. Each
-    /// flow's solved rate is quantised through [`ByteInterval::from_rate`]
-    /// — the engine's single float→time crossing — before any completion
-    /// arithmetic happens.
+    /// lists are in table (= flow-id) order, and a popped snapshot whose
+    /// channel has since risen is re-pushed at the recomputed level rather
+    /// than acted on — every f64 operation executes in a fixed sequence.
+    /// Each flow's solved rate is quantised through
+    /// [`ByteInterval::from_rate`] — the engine's single float→time
+    /// crossing — before any completion arithmetic happens.
     ///
     /// The heap is deliberately *lazy on update*: freezing a flow changes
     /// the saturation level of every channel on its route, but pushing a
@@ -297,37 +359,21 @@ impl FlowNet {
     /// true level, which is exactly the invariant the pop order needs.
     pub fn solve(&mut self) {
         self.solves += 1;
-        for a in self.alloc.iter_mut() {
-            *a = 0.0;
-        }
-        for l in self.load.iter_mut() {
-            *l = 0;
-        }
-        // Unfrozen load per channel + total route touches, one linear
-        // window sweep.
-        let FlowNet {
-            flows,
-            load,
-            scratch_ids,
-            ..
-        } = self;
-        scratch_ids.clear();
-        let mut touches = 0usize;
-        for (id, f) in flows.iter_mut() {
-            f.frozen = false;
-            touches += f.route.len();
-            for &c in &f.route {
-                load[c as usize] += 1;
-            }
-            scratch_ids.push(id);
-        }
-        if self.scratch_ids.is_empty() {
+        self.alloc.fill(0.0);
+        self.load.fill(0);
+        if self.ids.is_empty() {
             return;
         }
-        // Channel → flow-index adjacency in CSR layout, flow-id order
+        // Unfrozen load per channel: one linear pass over the arena.
+        for &c in &self.routes {
+            self.load[c as usize] += 1;
+        }
+        self.frozen.clear();
+        self.frozen.resize(self.ids.len(), false);
+        // Channel → flow-position adjacency in CSR layout, id order
         // within each channel. Rebuilt per solve into persistent scratch;
         // each flow freezes exactly once, so the freeze sweep below is
-        // O(touches) total.
+        // O(arena length) total.
         let nch = self.cap.len();
         self.scratch_off.clear();
         self.scratch_off.push(0);
@@ -339,20 +385,15 @@ impl FlowNet {
         self.scratch_cursor
             .extend_from_slice(&self.scratch_off[..nch]);
         self.scratch_items.clear();
-        self.scratch_items.resize(touches, 0);
-        {
-            let FlowNet {
-                flows,
-                scratch_cursor,
-                scratch_items,
-                ..
-            } = self;
-            for (fi, (_, f)) in flows.iter().enumerate() {
-                for &c in &f.route {
-                    scratch_items[scratch_cursor[c as usize] as usize] = narrow(fi);
-                    scratch_cursor[c as usize] += 1;
-                }
+        self.scratch_items.resize(self.routes.len(), 0);
+        let mut start = 0;
+        for (fi, &end) in self.route_end.iter().enumerate() {
+            for &c in &self.routes[start..end as usize] {
+                let cursor = &mut self.scratch_cursor[c as usize];
+                self.scratch_items[*cursor as usize] = narrow(fi);
+                *cursor += 1;
             }
+            start = end as usize;
         }
         let heap = &mut self.scratch_heap;
         heap.clear();
@@ -363,7 +404,7 @@ impl FlowNet {
             }
         }
         let mut lambda = 0.0f64;
-        let mut active = self.scratch_ids.len();
+        let mut active = self.ids.len();
         while active > 0 {
             let Some(top) = heap.pop() else { break };
             let c = top.c as usize;
@@ -380,17 +421,16 @@ impl FlowNet {
             // Saturation levels are non-decreasing along the pop order in
             // exact arithmetic; the max guards against f64 rounding dips.
             lambda = lambda.max(s_now);
+            let interval = ByteInterval::from_rate(lambda);
             for i in self.scratch_off[c]..self.scratch_off[c + 1] {
                 let fi = self.scratch_items[i as usize] as usize;
-                // detlint::allow(S001, ids were swept from the slab above)
-                let f = self.flows.get_mut(self.scratch_ids[fi]).expect("live flow");
-                if f.frozen {
+                if self.frozen[fi] {
                     continue;
                 }
-                f.frozen = true;
-                f.interval = ByteInterval::from_rate(lambda);
+                self.frozen[fi] = true;
+                self.flows[fi].interval = interval;
                 active -= 1;
-                for &c2 in &f.route {
+                for &c2 in &self.routes[route_span(&self.route_end, fi)] {
                     let c2 = c2 as usize;
                     self.alloc[c2] += lambda;
                     self.load[c2] -= 1;
@@ -406,49 +446,43 @@ impl FlowNet {
     /// Completions return in flow-id order and are removed from the set.
     pub fn advance(&mut self, window: SimDuration) -> Vec<FlowCompletion> {
         let mut done = Vec::new();
-        let FlowNet {
-            flows,
-            occupancy,
-            total_delivered,
-            ..
-        } = self;
-        flows.retain_with_id(|id, f| {
+        let mut delivered = 0;
+        self.retain(|_, id, f| {
             let served = f.interval.bytes_in(window);
             if served >= f.remaining {
                 let offset = f.interval.time_for(f.remaining);
-                *total_delivered += f.remaining;
+                delivered += f.remaining;
                 done.push(FlowCompletion { id, offset });
-                for &c in &f.route {
-                    occupancy[c as usize] -= 1;
-                }
                 false
             } else {
-                *total_delivered += served;
+                delivered += served;
                 f.remaining -= served;
                 true
             }
         });
+        self.total_delivered += delivered;
         done
     }
 
     /// Live flow count.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.ids.len()
     }
 
     /// True when no flows are in flight.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Live flow ids, ascending.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.flows.ids()
+    /// Live `(id, flow)` pairs, ascending id.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &Flow)> {
+        self.ids.iter().copied().zip(&self.flows)
     }
 
-    /// Look up a live flow.
+    /// Look up a live flow (binary search over the id-ordered table).
     pub fn get(&self, id: u64) -> Option<&Flow> {
-        self.flows.get(id)
+        let i = self.ids.binary_search(&id).ok()?;
+        Some(&self.flows[i])
     }
 
     /// Total bytes delivered across all completed service.
@@ -532,6 +566,13 @@ impl Ord for ChanSat {
     }
 }
 
+/// Arena range of the route at table position `i`, given the CSR end
+/// offsets.
+fn route_span(route_end: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { route_end[i - 1] as usize };
+    start..route_end[i] as usize
+}
+
 /// The directed channel of `lid` whose traffic departs `from`.
 fn directed_chan(topo: &Topology, lid: itb_topo::LinkId, from: Node) -> Chan {
     let link = topo.link(lid);
@@ -557,20 +598,40 @@ mod tests {
         (topo, net)
     }
 
+    /// The switches on the `src → dst` flow path, in path order.
+    fn switches_of(net: &FlowNet, src: HostId, dst: HostId) -> Vec<SwitchId> {
+        let mut rev = Vec::new();
+        assert!(net.path_all(src, dst, |s| {
+            rev.push(s);
+            true
+        }));
+        rev.reverse();
+        rev
+    }
+
     #[test]
     fn routes_are_shortest_and_deterministic() {
-        let (topo, net) = chain_net();
+        let (topo, mut net) = chain_net();
         let hosts: Vec<HostId> = topo.host_ids().collect();
         let a = hosts[0]; // switch 0
         let b = *hosts.last().unwrap(); // switch 3
-                                        // 2 host links + 3 inter-switch hops.
-        let r1 = net.route_of(a, b);
+        net.open(1, a, b, 100);
+        net.open(2, a, b, 100);
+        net.open(3, hosts[0], hosts[1], 100);
+        // 2 host links + 3 inter-switch hops.
+        let r1 = &net.routes[route_span(&net.route_end, 0)];
         assert_eq!(r1.len(), 5);
-        assert_eq!(net.route_of(a, b), r1);
-        let sw = net.switches_of(a, b);
-        assert_eq!(sw, vec![SwitchId(0), SwitchId(1), SwitchId(2), SwitchId(3)]);
+        assert_eq!(&net.routes[route_span(&net.route_end, 1)], r1);
+        assert_eq!(r1[0], net.host_up[a.idx()]);
+        assert_eq!(r1[4], net.host_down[b.idx()]);
+        assert_eq!(
+            switches_of(&net, a, b),
+            vec![SwitchId(0), SwitchId(1), SwitchId(2), SwitchId(3)]
+        );
         // Same-switch flows cross only the two host links.
-        assert_eq!(net.route_of(hosts[0], hosts[1]).len(), 2);
+        assert_eq!(route_span(&net.route_end, 2).len(), 2);
+        assert_eq!(switches_of(&net, hosts[0], hosts[1]), vec![SwitchId(0)]);
+        assert!(!net.path_all(a, b, |s| s != SwitchId(2)));
     }
 
     #[test]
@@ -653,8 +714,10 @@ mod tests {
         net.open(7, hosts[0], hosts[6], 2_000);
         net.solve();
         net.advance(SimDuration::from_us(5)); // 800 bytes at full rate
-        let f = net.close(7).expect("flow is live");
-        assert_eq!(f.remaining, 1_200);
+        let closed = net.close_crossing(|_| true);
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].0, 7);
+        assert_eq!(closed[0].1.remaining, 1_200);
         assert!(net.is_empty());
     }
 
@@ -675,7 +738,55 @@ mod tests {
         assert_eq!(done.len(), 3);
         assert_eq!(net.peak_contention(std::iter::once(dst_link)), 0);
         net.open(4, hosts[0], hosts[6], 800);
-        net.close(4).expect("flow is live");
+        assert_eq!(net.close_crossing(|_| true).len(), 1);
         assert_eq!(net.peak_contention(std::iter::once(dst_link)), 0);
+    }
+
+    #[test]
+    fn close_crossing_compacts_the_table_in_id_order() {
+        let (topo, mut net) = chain_net();
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        // Flows 1 and 3 cross switch 2; flows 2 and 4 stay on switches
+        // 0-1 and are kept.
+        net.open(1, hosts[0], hosts[6], 8_000);
+        net.open(2, hosts[0], hosts[2], 8_000);
+        net.open(3, hosts[4], hosts[1], 8_000);
+        net.open(4, hosts[3], hosts[1], 8_000);
+        let closed = net.close_crossing(|s| s == SwitchId(2));
+        let closed_ids: Vec<u64> = closed.iter().map(|&(id, _)| id).collect();
+        assert_eq!(closed_ids, vec![1, 3]);
+        assert_eq!(net.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![2, 4]);
+        // The compacted arena solves exactly like a fresh net holding
+        // only the survivors, and the closed flows released their
+        // channels.
+        let mut fresh = FlowNet::new(&topo, LINK);
+        fresh.open(2, hosts[0], hosts[2], 8_000);
+        fresh.open(4, hosts[3], hosts[1], 8_000);
+        assert_eq!(net.routes, fresh.routes);
+        assert_eq!(net.route_end, fresh.route_end);
+        assert_eq!(net.occupancy, fresh.occupancy);
+        net.solve();
+        fresh.solve();
+        for ((_, a), (_, b)) in net.iter().zip(fresh.iter()) {
+            assert_eq!(a.interval, b.interval);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow ids must be unique and increasing")]
+    fn reopening_a_live_flow_id_panics() {
+        let (topo, mut net) = chain_net();
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        net.open(3, hosts[0], hosts[6], 800);
+        net.open(3, hosts[2], hosts[6], 800);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow ids must be unique and increasing")]
+    fn opening_below_a_live_flow_id_panics() {
+        let (topo, mut net) = chain_net();
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        net.open(5, hosts[0], hosts[6], 800);
+        net.open(4, hosts[2], hosts[6], 800);
     }
 }

@@ -160,48 +160,6 @@ impl<T> IdSlab<T> {
             .enumerate()
             .filter_map(move |(i, s)| s.as_ref().map(|_| self.base + i as u64))
     }
-
-    /// Live `(id, entry)` pairs in id order — one linear window scan, no
-    /// per-id bounds check. This is the bulk-sweep primitive the flow
-    /// solver leans on: at 100k live entries, `ids().collect()` followed
-    /// by per-id `get` costs a second deque probe per entry this avoids.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let base = self.base;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|v| (base + i as u64, v)))
-    }
-
-    /// Mutable variant of [`iter`](IdSlab::iter), id order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
-        let base = self.base;
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_mut().map(|v| (base + i as u64, v)))
-    }
-
-    /// Visit every live entry in id order, removing those for which `f`
-    /// returns `false`; the window front slides past vacated slots once
-    /// at the end. The combined sweep-and-remove keeps a round-service
-    /// pass over 100k entries to one linear scan instead of a collect of
-    /// the id set plus a windowed `remove` per completion.
-    pub fn retain_with_id<F: FnMut(u64, &mut T) -> bool>(&mut self, mut f: F) {
-        let base = self.base;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Slot::Occupied(v) = slot {
-                if !f(base + i as u64, v) {
-                    *slot = Slot::Vacant;
-                    self.live -= 1;
-                }
-            }
-        }
-        while matches!(self.slots.front(), Some(Slot::Vacant)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,43 +220,6 @@ mod tests {
         }
         s.remove(5);
         assert_eq!(s.ids().collect::<Vec<_>>(), vec![0, 2, 9]);
-    }
-
-    #[test]
-    fn iteration_matches_ids_and_skips_holes() {
-        let mut s: IdSlab<u32> = IdSlab::default();
-        for id in [5u64, 2, 9, 0] {
-            s.insert(id, id as u32 * 10);
-        }
-        s.remove(5);
-        assert_eq!(
-            s.iter().map(|(id, &v)| (id, v)).collect::<Vec<_>>(),
-            vec![(0, 0), (2, 20), (9, 90)]
-        );
-        for (_, v) in s.iter_mut() {
-            *v += 1;
-        }
-        assert_eq!(s.get(9), Some(&91));
-    }
-
-    #[test]
-    fn retain_with_id_removes_and_slides_the_window() {
-        let mut s: IdSlab<u32> = IdSlab::default();
-        for id in 0..6u64 {
-            s.insert(id, id as u32);
-        }
-        // Drop the evens; window front must slide past vacated id 0.
-        s.retain_with_id(|id, _| id % 2 == 1);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.ids().collect::<Vec<_>>(), vec![1, 3, 5]);
-        assert_eq!(s.get(0), None, "vacated and slid past");
-        assert_eq!(s.get(3), Some(&3));
-        // Retained entries stay mutable through the sweep.
-        s.retain_with_id(|_, v| {
-            *v += 100;
-            true
-        });
-        assert_eq!(s.get(5), Some(&105));
     }
 
     #[test]

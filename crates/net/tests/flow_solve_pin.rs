@@ -20,8 +20,7 @@ const EXPECTED: u64 = 0xcf83_9f11_890e_3fae;
 
 fn digest_rates(net: &FlowNet, d: &mut Digest) {
     d.usize(net.len());
-    for id in net.ids() {
-        let f = net.get(id).expect("live flow");
+    for (id, f) in net.iter() {
         d.u64(id);
         d.u64(f.interval.ps_per_byte());
     }
@@ -32,18 +31,9 @@ fn digest_rates(net: &FlowNet, d: &mut Digest) {
 
 /// Close every live flow whose path crosses `cut`, in id order.
 fn close_crossing(net: &mut FlowNet, cut: [SwitchId; 2], d: &mut Digest) {
-    let ids: Vec<u64> = net.ids().collect();
-    for id in ids {
-        let f = net.get(id).expect("live flow");
-        if net
-            .switches_of(f.src, f.dst)
-            .iter()
-            .any(|s| cut.contains(s))
-        {
-            let f = net.close(id).expect("live flow");
-            d.u64(id);
-            d.u64(f.remaining);
-        }
+    for (id, f) in net.close_crossing(|s| cut.contains(&s)) {
+        d.u64(id);
+        d.u64(f.remaining);
     }
 }
 

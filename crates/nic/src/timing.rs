@@ -6,7 +6,7 @@
 //! paper measures come out at the published values:
 //!
 //! * **ITB support overhead** (Figure 7): the modified MCP's longer receive
-//!   path costs [`McpTiming::itb_support_extra`] cycles on every received
+//!   path costs [`McpTiming::itb_support_extra_cycles`] cycles on every received
 //!   packet (≈ 8 cycles ≈ 121 ns ≈ the paper's 125 ns average), plus
 //!   CPU-contention effects for very short packets whose tail arrives while
 //!   the Early-Recv handler still runs (the paper's ≤ 300 ns ceiling);

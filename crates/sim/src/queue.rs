@@ -9,9 +9,9 @@
 //! order *is* key order: a FIFO of them is already sorted by the full
 //! `(time, rank_time, rank)` key, and popping its front is O(1).
 //!
-//! The queue keeps [`LANES`] such FIFOs in front of the heap. A push whose
+//! The queue keeps `LANES` (8) such FIFOs in front of the heap. A push whose
 //! delay matches a lane's tag appends to it; otherwise it claims an
-//! untagged lane, or falls back to the heap. After [`MISS_WINDOW`] heap
+//! untagged lane, or falls back to the heap. After `MISS_WINDOW` (256) heap
 //! fallbacks the coldest lane (fewest pushes in the window) is drained into
 //! the heap and untagged, so lanes follow the delays that are hot now, not
 //! the ones that arrived first. [`EventQueue::schedule_ranked`] always uses
@@ -204,7 +204,7 @@ impl<E> EventQueue<E> {
     /// the historical `(time, seq)` order exactly).
     ///
     /// # Panics
-    /// Panics if `shard` does not fit in the [`SHARD_BITS`] rank field, or
+    /// Panics if `shard` does not fit in the `SHARD_BITS` (16-bit) rank field, or
     /// if anything has been scheduled on this queue: a later change of the
     /// rank would reorder ties against the entries already stamped, and
     /// would break the key order inside a lane.
@@ -260,7 +260,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current time or `rank_src` does not
-    /// fit in the [`SHARD_BITS`] rank field.
+    /// fit in the `SHARD_BITS` (16-bit) rank field.
     pub fn schedule_ranked(&mut self, at: SimTime, rank_time: SimTime, rank_src: u32, event: E) {
         assert!(
             at >= self.now,

@@ -8,7 +8,7 @@
 //! * [`builders`] — the Figure 6 three-host/two-switch testbed, plus chains,
 //!   rings and the random irregular generator used by the loaded-network
 //!   experiments;
-//! * [`partition`] — the deterministic switch-graph partitioner feeding the
+//! * [`partition`](mod@partition) — the deterministic switch-graph partitioner feeding the
 //!   sharded parallel engine (`itb_sim::par`): balanced shards, minimized
 //!   edge cut, hosts pinned to their attachment switch;
 //! * [`spanning`] — BFS spanning trees over the switch graph;

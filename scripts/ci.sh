@@ -40,6 +40,9 @@ cargo clippy --lib \
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== cargo doc (deny warnings: broken, ambiguous and private doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== chaos smoke (seeded faults, exactly-once) =="
 chaos_a=$(mktemp -d)
 chaos_b=$(mktemp -d)
