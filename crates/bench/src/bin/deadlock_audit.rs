@@ -27,6 +27,7 @@ use itb_routing::updown::shortest_updown;
 use itb_topo::builders::{fig6_testbed, irregular64, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, LinkId, SwitchId, Topology, UpDown};
 use serde::Serialize;
+use std::borrow::Borrow;
 
 /// Seed for the fresh large fabric. Distinct from every seed the
 /// benchmarks use, so this audit covers wiring no other gate has seen.
@@ -85,11 +86,11 @@ fn decode_channel(topo: &Topology, chan: usize) -> String {
     format!("link{} {} -> {}", link.idx(), from.node, to.node)
 }
 
-fn audit<'a>(
+fn audit(
     name: &str,
     policy: &str,
     topo: &Topology,
-    routes: impl IntoIterator<Item = &'a SourceRoute>,
+    routes: impl IntoIterator<Item = impl Borrow<SourceRoute>>,
     n_routes: usize,
     pairs_audited: usize,
     expect_acyclic: bool,

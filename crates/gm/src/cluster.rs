@@ -351,11 +351,7 @@ pub struct Cluster {
     nics: Vec<Nic>,
     hosts: Vec<Host>,
     /// The route table, kept for flow-eligibility checks (a route crossing
-    /// an in-transit host must stay in the packet model). Declared before
-    /// the per-run records on purpose: fields drop in order, so a finished
-    /// cluster frees the table's ~2 small allocations per host pair before
-    /// its large buffers, and the allocator merges them while this cluster
-    /// is torn down rather than inside the next cluster's set-up.
+    /// an in-transit host must stay in the packet model).
     // detlint::allow(T003, immutable after construction: shared read-only with every host)
     table: Arc<RouteTable>,
     // detlint::allow(T003, per-run workload configuration: fixed before the first event and never mutated)
@@ -637,7 +633,7 @@ impl Cluster {
         if fm.plan.is_all_packet() || src == dst {
             return false;
         }
-        if self.table.route(src, dst).is_none_or(|r| r.itb_count() > 0) {
+        if self.table.itb_count(src, dst) > 0 {
             return false;
         }
         fm.net.path_all(src, dst, |s| {

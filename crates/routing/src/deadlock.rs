@@ -10,6 +10,7 @@
 
 use crate::path::SourceRoute;
 use itb_topo::{LinkId, Node, Topology};
+use std::borrow::Borrow;
 
 /// A directed channel: `link` traversed leaving `from_a`-end (`true`) or
 /// leaving the `b` end (`false`).
@@ -37,13 +38,13 @@ pub struct ChannelDepGraph {
 
 impl ChannelDepGraph {
     /// Build the CDG from every route in `routes`.
-    pub fn build<'a>(
+    pub fn build(
         topo: &Topology,
-        routes: impl IntoIterator<Item = &'a SourceRoute>,
+        routes: impl IntoIterator<Item = impl Borrow<SourceRoute>>,
     ) -> ChannelDepGraph {
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); topo.num_links() * 2];
         for route in routes {
-            for seg in &route.segments {
+            for seg in &route.borrow().segments {
                 // Channel sequence of this segment: host uplink, inter-switch
                 // links, host downlink.
                 let mut chain: Vec<Channel> = Vec::with_capacity(seg.hops.len() + 1);
@@ -268,7 +269,7 @@ mod tests {
     #[test]
     fn empty_route_set_is_acyclic() {
         let t = ring(3, 1);
-        let cdg = ChannelDepGraph::build(&t, std::iter::empty());
+        let cdg = ChannelDepGraph::build(&t, std::iter::empty::<&SourceRoute>());
         assert!(cdg.is_acyclic());
         assert_eq!(cdg.edge_count(), 0);
     }

@@ -52,11 +52,11 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
     let mut searched = None;
     for route in table.iter() {
         n += 1;
-        let links = route_links(route);
+        let links = route_links(&route);
         total_links += links;
         max_links = max_links.max(links);
         total_itbs += route.itb_count();
-        if visits_switch(route, root) {
+        if visits_switch(&route, root) {
             root_crossing += 1;
         }
         let src_sw = topo.host_attachment(route.src).0;
@@ -160,7 +160,7 @@ mod tests {
         let ud = UpDown::compute_default(&t);
         let tbl = RouteTable::compute(&t, &ud, RoutingPolicy::UpDown).unwrap();
         let r = tbl.route(itb_topo::HostId(0), itb_topo::HostId(2)).unwrap();
-        assert!(visits_switch(r, SwitchId(1)));
-        assert!(visits_switch(r, SwitchId(0)));
+        assert!(visits_switch(&r, SwitchId(1)));
+        assert!(visits_switch(&r, SwitchId(0)));
     }
 }

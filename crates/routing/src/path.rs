@@ -92,6 +92,17 @@ impl Segment {
     }
 }
 
+/// One element of a route in wire order: what the planner emits, the
+/// header encoder consumes and the route table decodes back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// A switch crossing.
+    Hop(Hop),
+    /// The previous hop ejected the packet into this in-transit host,
+    /// which re-injects it into the same switch.
+    Itb(HostId),
+}
+
 /// A complete source route: one segment for plain up\*/down\*, several when
 /// in-transit buffers are used. Segment *k* ends at the host that re-injects
 /// segment *k+1*.
@@ -118,6 +129,34 @@ impl SourceRoute {
                 hops,
             }],
         }
+    }
+
+    /// Assemble a route from its steps, splitting segments at the
+    /// in-transit stops.
+    pub(crate) fn from_steps(
+        src: HostId,
+        dst: HostId,
+        steps: impl IntoIterator<Item = Step>,
+    ) -> Self {
+        let mut segments = Vec::new();
+        let mut from = src;
+        let mut hops = Vec::new();
+        for step in steps {
+            match step {
+                Step::Hop(hop) => hops.push(hop),
+                Step::Itb(to) => {
+                    let hops = std::mem::take(&mut hops);
+                    segments.push(Segment { from, to, hops });
+                    from = to;
+                }
+            }
+        }
+        segments.push(Segment {
+            from,
+            to: dst,
+            hops,
+        });
+        SourceRoute { src, dst, segments }
     }
 
     /// Number of in-transit buffers used (segments − 1).

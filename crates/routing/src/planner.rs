@@ -14,8 +14,9 @@
 //! back to longer paths — in the worst case the pure up\*/down\* route, so
 //! the planned route is never longer than the up\*/down\* one.
 
-use crate::path::{Hop, Segment, SourceRoute};
+use crate::path::{Hop, SourceRoute, Step};
 use crate::updown::{state, unpack, DirState, UNREACHED};
+use crate::wire::EncodeError;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,7 +33,7 @@ pub enum ItbHostSelection {
     RoundRobin,
 }
 
-/// Errors from [`ItbPlanner::route`].
+/// Errors from [`ItbPlanner::route`] and the route-table build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlannerError {
     /// Source and destination are the same host.
@@ -44,6 +45,15 @@ pub enum PlannerError {
         /// Requested destination.
         dst: HostId,
     },
+    /// The route has no Figure 3 header, so no NIC could send it.
+    Unencodable {
+        /// Route source.
+        src: HostId,
+        /// Route destination.
+        dst: HostId,
+        /// The hop or length that does not fit.
+        error: EncodeError,
+    },
 }
 
 impl std::fmt::Display for PlannerError {
@@ -52,6 +62,9 @@ impl std::fmt::Display for PlannerError {
             PlannerError::SameHost(h) => write!(f, "source and destination are both {h}"),
             PlannerError::Unreachable { src, dst } => {
                 write!(f, "no path from {src} to {dst}")
+            }
+            PlannerError::Unencodable { src, dst, error } => {
+                write!(f, "route from {src} to {dst} has no header: {error}")
             }
         }
     }
@@ -177,7 +190,8 @@ pub struct ItbPlanner {
     selection: ItbHostSelection,
     /// Per-switch rotation cursor for [`ItbHostSelection::RoundRobin`].
     rr_cursor: Vec<usize>,
-    /// Scratch: the hop list being assembled, with ITB markers.
+    /// Scratch: the hop list read back from the search, last hop first,
+    /// with ITB markers.
     path: Vec<(Hop, bool)>,
 }
 
@@ -219,20 +233,24 @@ impl ItbPlanner {
         let mut search = ItbSearch::default();
         let stop = topo.host_attachment(dst).0;
         search.run(topo, ud, &hosts, topo.host_attachment(src).0, Some(stop));
-        self.assemble(topo, &hosts, &search, src, dst)
+        let mut steps = Vec::new();
+        self.steps(topo, &hosts, &search, src, dst, &mut steps)?;
+        Ok(SourceRoute::from_steps(src, dst, steps))
     }
 
-    /// Read the route `src → dst` out of `search`, which ran from `src`'s
-    /// switch, and split it into segments at the ITB markers. In-transit
-    /// hosts are picked in hop order.
-    pub(crate) fn assemble(
+    /// Write the steps of the route `src → dst` into `out`, read out of
+    /// `search`, which ran from `src`'s switch. Every ITB marker becomes a
+    /// hop out to an in-transit host and the stop there; in-transit hosts
+    /// are picked in hop order.
+    pub(crate) fn steps(
         &mut self,
         topo: &Topology,
         hosts: &SwitchHosts,
         search: &ItbSearch,
         src: HostId,
         dst: HostId,
-    ) -> Result<SourceRoute, PlannerError> {
+        out: &mut Vec<Step>,
+    ) -> Result<(), PlannerError> {
         if self.rr_cursor.len() < topo.num_switches() {
             self.rr_cursor.resize(topo.num_switches(), 0);
         }
@@ -248,50 +266,28 @@ impl ItbPlanner {
             path.push((hop, itb));
             cur = p;
         }
-        path.reverse();
-
-        // A segment runs from its first hop up to the next ITB marker (the
-        // first hop of a route never carries one). Both Vecs are sized
-        // exactly: a table keeps every one of them.
-        let mut segments = Vec::with_capacity(search.best[goal].1 as usize + 1);
-        let mut from = src;
-        let mut first = 0;
-        loop {
-            let end = (first + 1..path.len())
-                .find(|&k| path[k].1)
-                .unwrap_or(path.len());
-            let mut hops = Vec::with_capacity(end - first + 1);
-            hops.extend(path[first..end].iter().map(|&(hop, _)| hop));
-            let Some(&(itb_hop, _)) = path.get(end) else {
-                hops.push(Hop {
-                    switch: dst_sw,
-                    out_port: dst_port,
-                });
-                segments.push(Segment {
-                    from,
-                    to: dst,
-                    hops,
-                });
-                return Ok(SourceRoute { src, dst, segments });
-            };
-            let host = select_itb_host(
-                self.selection,
-                &mut self.rr_cursor,
-                hosts.at(itb_hop.switch),
-                itb_hop.switch,
-            );
-            hops.push(Hop {
-                switch: itb_hop.switch,
-                out_port: topo.host_attachment(host).1,
-            });
-            segments.push(Segment {
-                from,
-                to: host,
-                hops,
-            });
-            from = host;
-            first = end;
+        out.clear();
+        for &(hop, itb) in path.iter().rev() {
+            if itb {
+                let host = select_itb_host(
+                    self.selection,
+                    &mut self.rr_cursor,
+                    hosts.at(hop.switch),
+                    hop.switch,
+                );
+                out.push(Step::Hop(Hop {
+                    switch: hop.switch,
+                    out_port: topo.host_attachment(host).1,
+                }));
+                out.push(Step::Itb(host));
+            }
+            out.push(Step::Hop(hop));
         }
+        out.push(Step::Hop(Hop {
+            switch: dst_sw,
+            out_port: dst_port,
+        }));
+        Ok(())
     }
 }
 

@@ -1,9 +1,19 @@
 //! Route tables — what the GM mapper computes and installs in each NIC.
+//!
+//! The mapper computes each route once and downloads it to the NIC as the
+//! string of bytes the NIC prepends to every packet. The table keeps the
+//! routes that way: every pair's Figure 3 header back to back in one byte
+//! arena, found through one offset per `(src, dst)` pair. Sending a packet
+//! copies a slice. [`RouteTable::route`] and [`RouteTable::iter`] decode a
+//! [`SourceRoute`] back out of the bytes for the analyses, reading each
+//! route byte's switch off the port wiring the table was computed on.
 
-use crate::path::SourceRoute;
+use crate::path::{Hop, SourceRoute, Step};
 use crate::planner::{ItbHostSelection, ItbPlanner, ItbSearch, PlannerError, SwitchHosts};
 use crate::updown::BfsTree;
-use itb_topo::{HostId, Topology, UpDown};
+use crate::wire::{append_header, fields, Field, Header};
+use itb_sim::narrow;
+use itb_topo::{HostId, Node, PortIx, SwitchId, Topology, UpDown};
 use serde::Serialize;
 
 /// Which route computation the mapper runs.
@@ -16,11 +26,60 @@ pub enum RoutingPolicy {
     Itb,
 }
 
-/// All-pairs route table, indexed `[src][dst]`. `None` on the diagonal.
+/// All-pairs route table: every ordered host pair's encoded header.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     policy: RoutingPolicy,
-    routes: Vec<Vec<Option<SourceRoute>>>,
+    hosts: usize,
+    /// Headers source-major, destination-minor: pair `p = src * hosts +
+    /// dst` owns `bytes[offsets[p]..offsets[p + 1]]`, empty when
+    /// `src == dst`.
+    bytes: Vec<u8>,
+    offsets: Vec<u32>,
+    wiring: Wiring,
+}
+
+/// Where each switch port leads, and the switch each host hangs off:
+/// enough to name the switch behind every route byte of a header.
+#[derive(Debug, Clone)]
+struct Wiring {
+    host_switch: Vec<SwitchId>,
+    /// `peers[port_start[s] + p]` is the node cabled to port `p` of switch
+    /// `s`, `None` when the port is free.
+    port_start: Vec<usize>,
+    peers: Vec<Option<Node>>,
+}
+
+impl Wiring {
+    fn new(topo: &Topology) -> Self {
+        let mut port_start = Vec::with_capacity(topo.num_switches() + 1);
+        port_start.push(0);
+        for s in topo.switch_ids() {
+            port_start.push(port_start[s.idx()] + topo.switch_port_count(s));
+        }
+        let mut peers = vec![None; port_start[topo.num_switches()]];
+        for s in topo.switch_ids() {
+            for (port, _, next) in topo.switch_neighbors(s) {
+                peers[port_start[s.idx()] + port.idx()] = Some(Node::Switch(next));
+            }
+        }
+        let mut host_switch = Vec::with_capacity(topo.num_hosts());
+        for h in topo.host_ids() {
+            let (s, port) = topo.host_attachment(h);
+            peers[port_start[s.idx()] + port.idx()] = Some(Node::Host(h));
+            host_switch.push(s);
+        }
+        Wiring {
+            host_switch,
+            port_start,
+            peers,
+        }
+    }
+
+    fn peer(&self, s: SwitchId, port: PortIx) -> Option<Node> {
+        let ports = &self.peers[self.port_start[s.idx()]..self.port_start[s.idx() + 1]];
+        ports.get(port.idx()).copied().flatten()
+    }
 }
 
 impl RouteTable {
@@ -41,9 +100,14 @@ impl RouteTable {
     ///
     /// A route depends only on its source and destination switches, so
     /// each source switch is searched once and every route out of it is
-    /// read from that one search tree. Routes are assembled source-major,
+    /// read from that one search tree. Routes are encoded source-major,
     /// destination-minor, which keeps the round-robin in-transit host
-    /// sequence of a per-pair loop.
+    /// sequence of a per-pair loop. Each is written straight into the
+    /// header arena through one reused step buffer.
+    ///
+    /// A route whose header cannot be encoded (a port past 63, or more
+    /// than 255 header bytes after an in-transit stop) is a
+    /// [`PlannerError::Unencodable`] error.
     pub fn compute_with_selection(
         topo: &Topology,
         ud: &UpDown,
@@ -56,7 +120,10 @@ impl RouteTable {
         let mut itb_search = ItbSearch::default();
         let mut ud_search = BfsTree::default();
         let mut searched = None;
-        let mut routes = Vec::with_capacity(n);
+        let mut steps = Vec::new();
+        let mut bytes = Vec::new();
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        offsets.push(0);
         for src in topo.host_ids() {
             let src_sw = topo.host_attachment(src).0;
             if searched != Some(src_sw) {
@@ -66,23 +133,32 @@ impl RouteTable {
                 }
                 searched = Some(src_sw);
             }
-            let mut row = Vec::with_capacity(n);
             for dst in topo.host_ids() {
-                if src == dst {
-                    row.push(None);
-                    continue;
+                if src != dst {
+                    match policy {
+                        RoutingPolicy::UpDown => {
+                            if !ud_search.steps(topo, dst, &mut steps) {
+                                return Err(PlannerError::Unreachable { src, dst });
+                            }
+                        }
+                        RoutingPolicy::Itb => {
+                            planner.steps(topo, &hosts, &itb_search, src, dst, &mut steps)?
+                        }
+                    }
+                    append_header(&mut bytes, &steps)
+                        .map_err(|error| PlannerError::Unencodable { src, dst, error })?;
                 }
-                let r = match policy {
-                    RoutingPolicy::UpDown => ud_search
-                        .route(topo, src, dst)
-                        .ok_or(PlannerError::Unreachable { src, dst })?,
-                    RoutingPolicy::Itb => planner.assemble(topo, &hosts, &itb_search, src, dst)?,
-                };
-                row.push(Some(r));
+                offsets.push(narrow(bytes.len()));
             }
-            routes.push(row);
         }
-        Ok(RouteTable { policy, routes })
+        bytes.shrink_to_fit();
+        Ok(RouteTable {
+            policy,
+            hosts: n,
+            bytes,
+            offsets,
+            wiring: Wiring::new(topo),
+        })
     }
 
     /// The policy this table was computed under.
@@ -90,34 +166,88 @@ impl RouteTable {
         self.policy
     }
 
-    /// Route from `src` to `dst` (`None` when equal).
-    pub fn route(&self, src: HostId, dst: HostId) -> Option<&SourceRoute> {
-        self.routes[src.idx()][dst.idx()].as_ref()
-    }
-
     /// Number of hosts covered.
     pub fn num_hosts(&self) -> usize {
-        self.routes.len()
+        self.hosts
     }
 
-    /// Iterate all routes (src ≠ dst).
-    pub fn iter(&self) -> impl Iterator<Item = &SourceRoute> {
-        self.routes.iter().flatten().filter_map(|r| r.as_ref())
+    /// The encoded header from `src` to `dst` (empty when equal).
+    #[inline]
+    pub fn header(&self, src: HostId, dst: HostId) -> &[u8] {
+        let p = src.idx() * self.hosts + dst.idx();
+        &self.bytes[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
+
+    /// In-transit stops on the route from `src` to `dst`, read off its
+    /// header without decoding the route.
+    pub fn itb_count(&self, src: HostId, dst: HostId) -> usize {
+        fields(self.header(src, dst))
+            .filter(|&f| f == Field::Itb)
+            .count()
+    }
+
+    /// Route from `src` to `dst` (`None` when equal), decoded from its
+    /// header.
+    pub fn route(&self, src: HostId, dst: HostId) -> Option<SourceRoute> {
+        (src != dst).then(|| SourceRoute::from_steps(src, dst, self.steps(src, dst)))
+    }
+
+    /// Every route (src ≠ dst), decoded source-major, destination-minor.
+    pub fn iter(&self) -> impl Iterator<Item = SourceRoute> + '_ {
+        let hosts = move || (0..self.hosts).map(|h| HostId(narrow(h)));
+        hosts().flat_map(move |src| hosts().filter_map(move |dst| self.route(src, dst)))
+    }
+
+    /// The steps of the route from `src` to `dst`: each route byte is a
+    /// hop out of the switch the previous one led to, and a hop into a
+    /// host before an `ITB | Length` group names the in-transit host.
+    fn steps(&self, src: HostId, dst: HostId) -> impl Iterator<Item = Step> + '_ {
+        let mut at = self.wiring.host_switch[src.idx()];
+        let mut ejected = src;
+        fields(self.header(src, dst)).map(move |field| match field {
+            Field::Route(out_port) => {
+                let hop = Hop {
+                    switch: at,
+                    out_port,
+                };
+                match self.wiring.peer(at, out_port) {
+                    Some(Node::Switch(next)) => at = next,
+                    Some(Node::Host(h)) => ejected = h,
+                    None => {}
+                }
+                Step::Hop(hop)
+            }
+            Field::Itb => Step::Itb(ejected),
+        })
     }
 
     /// Replace the route for `(route.src, route.dst)` — used to install the
-    /// hand-built evaluation paths of the paper's Figure 6 testbed.
+    /// hand-built evaluation paths of the paper's Figure 6 testbed. The
+    /// new header takes the old one's place in the arena. The route must
+    /// be wired on the topology the table was computed on (check it with
+    /// [`SourceRoute::is_well_formed`]), or [`RouteTable::route`] decodes
+    /// other hops than it has.
+    ///
+    /// # Panics
+    /// Panics if the route has no header.
     pub fn set_route(&mut self, route: SourceRoute) {
         assert_ne!(route.src, route.dst);
-        let (s, d) = (route.src.idx(), route.dst.idx());
-        self.routes[s][d] = Some(route);
+        let p = route.src.idx() * self.hosts + route.dst.idx();
+        let (start, end) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
+        let header = Header::encode(&route);
+        let new = header.as_bytes();
+        self.bytes.splice(start..end, new.iter().copied());
+        for offset in &mut self.offsets[p + 1..] {
+            *offset = narrow(*offset as usize + new.len() - (end - start));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itb_topo::builders::{random_irregular, ring, IrregularSpec};
+    use crate::wire::EncodeError;
+    use itb_topo::builders::{chain, random_irregular, ring, IrregularSpec};
 
     #[test]
     fn table_covers_all_pairs() {
@@ -180,5 +310,52 @@ mod tests {
                 assert!(itb_links <= ud_links);
             }
         }
+    }
+
+    #[test]
+    fn ports_past_a_route_byte_are_rejected() {
+        // 65 ports: hosts on ports 2..=64 of each switch. Port 64 would
+        // encode as port 0's byte; host 62 is the first destination behind
+        // it, in source-major order.
+        let t = chain(2, 63);
+        let ud = UpDown::compute_default(&t);
+        for policy in [RoutingPolicy::UpDown, RoutingPolicy::Itb] {
+            assert_eq!(
+                RouteTable::compute(&t, &ud, policy).unwrap_err(),
+                PlannerError::Unencodable {
+                    src: HostId(0),
+                    dst: HostId(62),
+                    error: EncodeError::Port(Hop::new(SwitchId(0), 64)),
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn set_route_replaces_one_header_in_place() {
+        let t = ring(5, 1);
+        let ud = UpDown::compute_default(&t);
+        let mut tbl = RouteTable::compute(&t, &ud, RoutingPolicy::UpDown).unwrap();
+        let before: Vec<_> = tbl.iter().collect();
+        let (h0, h2) = (HostId(0), HostId(2));
+        let direct = tbl.route(h0, h2).unwrap();
+        // The long way round: out port 0 of each switch leads back one.
+        let detour = SourceRoute::direct(
+            h0,
+            h2,
+            vec![
+                Hop::new(SwitchId(0), 0),
+                Hop::new(SwitchId(4), 0),
+                Hop::new(SwitchId(3), 0),
+                Hop::new(SwitchId(2), 2),
+            ],
+        );
+        assert!(detour.total_crossings() > direct.total_crossings());
+        tbl.set_route(detour.clone());
+        assert_eq!(tbl.route(h0, h2), Some(detour));
+        assert_eq!(tbl.iter().filter(|r| !before.contains(r)).count(), 1);
+        // Shrinking back restores every header.
+        tbl.set_route(direct);
+        assert!(tbl.iter().eq(before));
     }
 }

@@ -1,6 +1,6 @@
 //! Shortest-path computation: plain minimal and up\*/down\*-legal.
 
-use crate::path::{Hop, SourceRoute};
+use crate::path::{Hop, SourceRoute, Step};
 use itb_sim::narrow;
 use itb_topo::updown::Direction;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
@@ -87,7 +87,9 @@ fn direct_route(
     let mut tree = BfsTree::default();
     let stop = topo.host_attachment(dst).0;
     tree.run(topo, ud, topo.host_attachment(src).0, Some(stop));
-    tree.route(topo, src, dst)
+    let mut steps = Vec::new();
+    tree.steps(topo, dst, &mut steps)
+        .then(|| SourceRoute::from_steps(src, dst, steps))
 }
 
 /// Breadth-first search over `(switch, dir)` states from one source switch,
@@ -173,24 +175,27 @@ impl BfsTree {
         (goal != UNREACHED).then(|| self.dist[goal] as usize)
     }
 
-    /// The route from `src` (on the searched switch) to `dst`, ending with
-    /// the hop out to `dst`'s host link. A host link carries no up/down
-    /// orientation, so that hop is allowed from any direction state.
-    pub(crate) fn route(&self, topo: &Topology, src: HostId, dst: HostId) -> Option<SourceRoute> {
+    /// Write the steps of the route from the searched switch to `dst` into
+    /// `out`, ending with the hop out to `dst`'s host link; `false` when
+    /// `dst` is unreachable. A host link carries no up/down orientation, so
+    /// that hop is allowed from any direction state.
+    pub(crate) fn steps(&self, topo: &Topology, dst: HostId, out: &mut Vec<Step>) -> bool {
         let (dst_sw, dst_port) = topo.host_attachment(dst);
-        let links = self.links_to(dst_sw)?;
-        let mut hops = Vec::with_capacity(links + 1);
-        hops.push(Hop {
+        let mut cur = self.first[dst_sw.idx()];
+        if cur == UNREACHED {
+            return false;
+        }
+        out.clear();
+        out.push(Step::Hop(Hop {
             switch: dst_sw,
             out_port: dst_port,
-        });
-        let mut cur = self.first[dst_sw.idx()];
+        }));
         while let Some((p, hop)) = self.prev[cur] {
-            hops.push(hop);
+            out.push(Step::Hop(hop));
             cur = p;
         }
-        hops.reverse();
-        Some(SourceRoute::direct(src, dst, hops))
+        out.reverse();
+        true
     }
 }
 

@@ -13,7 +13,7 @@
 //! three-byte `ITB | Length` group, and re-injects the rest unchanged —
 //! which again starts with route bytes, exactly what the next switch needs.
 
-use crate::path::SourceRoute;
+use crate::path::{Hop, SourceRoute, Step};
 use itb_sim::narrow;
 use itb_topo::PortIx;
 
@@ -30,11 +30,135 @@ pub const TYPE_MAP: u16 = 0x0003;
 /// disjoint from type bytes so decoding is unambiguous in tests).
 const ROUTE_TAG: u8 = 0xC0;
 
+/// Ports a route byte can name: the six bits below [`ROUTE_TAG`].
+const PORTS: u8 = 0x40;
+
 /// Encode one output port as a route byte.
+///
+/// # Panics
+/// Panics if the port does not fit in six bits: port 64 would encode as
+/// port 0's byte and silently misroute.
 #[inline]
 pub fn route_byte(port: PortIx) -> u8 {
-    debug_assert!(port.0 < 0x40, "port fits in 6 bits");
+    assert!(port.0 < PORTS, "{port} does not fit a route byte");
     ROUTE_TAG | port.0
+}
+
+/// Why a route has no Figure 3 header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncodeError {
+    /// The hop leaves through a port a route byte cannot name.
+    Port(Hop),
+    /// The header after an `ITB | Length` group is longer than the 255
+    /// bytes its Length byte can count.
+    Length(usize),
+}
+
+impl std::fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EncodeError::Port(hop) => write!(
+                f,
+                "{}[{}] does not fit a route byte (ports 0-{})",
+                hop.switch,
+                hop.out_port,
+                PORTS - 1
+            ),
+            EncodeError::Length(len) => {
+                write!(
+                    f,
+                    "{len} header bytes after an ITB group exceed its Length byte"
+                )
+            }
+        }
+    }
+}
+
+/// Length of the header of a route with `hops` switch crossings and `itbs`
+/// in-transit stops: a route byte per crossing, a three-byte `ITB | Length`
+/// group per stop, and the two-byte type.
+pub(crate) fn header_len(hops: usize, itbs: usize) -> usize {
+    hops + 3 * itbs + 2
+}
+
+/// Writes one header front to back into a buffer of exactly
+/// [`header_len`] bytes.
+struct HeaderWriter<'b> {
+    buf: &'b mut [u8],
+    at: usize,
+}
+
+impl<'b> HeaderWriter<'b> {
+    fn new(buf: &'b mut [u8]) -> Self {
+        HeaderWriter { buf, at: 0 }
+    }
+
+    fn hop(&mut self, hop: Hop) -> Result<(), EncodeError> {
+        if hop.out_port.0 >= PORTS {
+            return Err(EncodeError::Port(hop));
+        }
+        self.buf[self.at] = route_byte(hop.out_port);
+        self.at += 1;
+        Ok(())
+    }
+
+    /// An `ITB | Length` group. The Length byte counts the header bytes
+    /// after it: the buffer length minus its own end position.
+    fn itb(&mut self) -> Result<(), EncodeError> {
+        let at = self.at;
+        let rest = self.buf.len() - (at + 3);
+        self.buf[at..at + 2].copy_from_slice(&TYPE_ITB.to_be_bytes());
+        self.buf[at + 2] = u8::try_from(rest).map_err(|_| EncodeError::Length(rest))?;
+        self.at += 3;
+        Ok(())
+    }
+
+    fn finish(self) {
+        self.buf[self.at..].copy_from_slice(&TYPE_GM.to_be_bytes());
+    }
+}
+
+/// Append the header of the route `steps` to `out`.
+pub(crate) fn append_header(out: &mut Vec<u8>, steps: &[Step]) -> Result<(), EncodeError> {
+    let itbs = steps.iter().filter(|s| matches!(s, Step::Itb(_))).count();
+    let start = out.len();
+    out.resize(start + header_len(steps.len() - itbs, itbs), 0);
+    let mut w = HeaderWriter::new(&mut out[start..]);
+    for &step in steps {
+        match step {
+            Step::Hop(hop) => w.hop(hop)?,
+            Step::Itb(_) => w.itb()?,
+        }
+    }
+    w.finish();
+    Ok(())
+}
+
+/// One field of an encoded header, front to back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// A route byte naming a switch output port.
+    Route(PortIx),
+    /// An `ITB | Length` group.
+    Itb,
+}
+
+/// The route bytes and `ITB | Length` groups of header `bytes`, up to its
+/// final packet type.
+pub(crate) fn fields(bytes: &[u8]) -> impl Iterator<Item = Field> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        if let Some(port) = decode_route_byte(*bytes.get(at)?) {
+            at += 1;
+            return Some(Field::Route(port));
+        }
+        if bytes.get(at..at + 2)? != TYPE_ITB.to_be_bytes() {
+            at = bytes.len();
+            return None;
+        }
+        at += 3;
+        Some(Field::Itb)
+    })
 }
 
 /// Decode a route byte back to a port.
@@ -167,25 +291,25 @@ impl Header {
     /// // Two route bytes + the two-byte GM type.
     /// assert_eq!(header.len(), 4);
     /// ```
+    ///
+    /// # Panics
+    /// Panics if the route has no header (see [`EncodeError`]); a
+    /// [`RouteTable`](crate::RouteTable) reports that as an error instead.
     pub fn encode(route: &SourceRoute) -> Header {
-        let hops: usize = route.segments.iter().map(|s| s.hops.len()).sum();
-        let total = hops + 3 * (route.segments.len() - 1) + 2;
-        // Written front to back in place: each Length byte counts the header
-        // bytes after it, which is `total` minus its own end position.
+        let total = header_len(route.total_crossings(), route.itb_count());
         Header::filled(total, |buf| {
-            let mut at = 0;
-            for (i, seg) in route.segments.iter().enumerate() {
+            let mut w = HeaderWriter::new(buf);
+            let written = route.segments.iter().enumerate().try_for_each(|(i, seg)| {
                 if i > 0 {
-                    buf[at..at + 2].copy_from_slice(&TYPE_ITB.to_be_bytes());
-                    buf[at + 2] = narrow(total - (at + 3));
-                    at += 3;
+                    w.itb()?;
                 }
-                for hop in &seg.hops {
-                    buf[at] = route_byte(hop.out_port);
-                    at += 1;
-                }
+                seg.hops.iter().try_for_each(|&hop| w.hop(hop))
+            });
+            if let Err(e) = written {
+                // detlint::allow(S001, route tables reject unencodable routes at set-up; a hand-built one is a caller bug)
+                panic!("{} -> {}: {e}", route.src, route.dst);
             }
-            buf[at..].copy_from_slice(&TYPE_GM.to_be_bytes());
+            w.finish();
         })
     }
 
@@ -256,39 +380,29 @@ impl Header {
     }
 }
 
-/// Decoded view of a full header: the per-segment port lists. Used by tests
-/// and by the mapper's route-table verifier.
+/// Decoded view of a full header: the per-segment port lists, or `None`
+/// unless the header ends in exactly one GM or mapper packet type. Used by
+/// tests.
 pub fn decode_segments(header: &Header) -> Option<Vec<Vec<PortIx>>> {
+    let b = header.as_bytes();
     let mut segs = Vec::new();
     let mut cur = Vec::new();
-    let mut i = 0;
-    let b = header.as_bytes();
-    while i < b.len() {
-        if let Some(p) = decode_route_byte(b[i]) {
-            cur.push(p);
-            i += 1;
-            continue;
-        }
-        if i + 1 >= b.len() {
-            return None;
-        }
-        let ty = u16::from_be_bytes([b[i], b[i + 1]]);
-        match ty {
-            TYPE_ITB => {
-                if i + 2 >= b.len() {
-                    return None;
-                }
-                segs.push(std::mem::take(&mut cur));
-                i += 3; // tag + length byte
+    let mut at = 0;
+    for field in fields(b) {
+        match field {
+            Field::Route(p) => {
+                cur.push(p);
+                at += 1;
             }
-            TYPE_GM | TYPE_MAP => {
+            Field::Itb => {
                 segs.push(std::mem::take(&mut cur));
-                return if i + 2 == b.len() { Some(segs) } else { None };
+                at += 3;
             }
-            _ => return None,
         }
     }
-    None
+    segs.push(cur);
+    let ty = b.get(at..)?;
+    (ty == TYPE_GM.to_be_bytes() || ty == TYPE_MAP.to_be_bytes()).then_some(segs)
 }
 
 #[cfg(test)]
@@ -454,6 +568,49 @@ mod tests {
         assert_eq!(snapshot.len(), 5, "clone keeps its own cursor");
         assert_ne!(snapshot, h);
         assert_eq!(snapshot.as_bytes()[0], ROUTE_TAG | 1);
+    }
+
+    #[test]
+    fn tail_past_the_length_byte_is_rejected() {
+        // 254 hops after the stop plus the type: 256 bytes follow the
+        // Length byte.
+        let mut steps = vec![Step::Hop(Hop::new(SwitchId(0), 1)), Step::Itb(HostId(1))];
+        steps.extend(hops(&[2; 254]).into_iter().map(Step::Hop));
+        assert_eq!(
+            append_header(&mut Vec::new(), &steps),
+            Err(EncodeError::Length(256))
+        );
+        // One hop fewer fits exactly, appended after what `out` holds.
+        let shorter = &steps[..steps.len() - 1];
+        let mut out = vec![0xAA];
+        append_header(&mut out, shorter).unwrap();
+        let route = SourceRoute::from_steps(HostId(0), HostId(2), shorter.iter().copied());
+        assert_eq!(&out[1..], Header::encode(&route).as_bytes());
+        assert_eq!(out[1 + 1 + 2], 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a route byte")]
+    fn port_past_a_route_byte_panics_in_encode() {
+        Header::encode(&SourceRoute::direct(HostId(0), HostId(1), hops(&[64])));
+    }
+
+    #[test]
+    fn fields_walk_route_bytes_and_itb_groups() {
+        let r = SourceRoute::from_steps(
+            HostId(0),
+            HostId(2),
+            [
+                Step::Hop(Hop::new(SwitchId(0), 4)),
+                Step::Itb(HostId(1)),
+                Step::Hop(Hop::new(SwitchId(0), 6)),
+            ],
+        );
+        let h = Header::encode(&r);
+        assert_eq!(
+            fields(h.as_bytes()).collect::<Vec<_>>(),
+            vec![Field::Route(PortIx(4)), Field::Itb, Field::Route(PortIx(6))]
+        );
     }
 
     #[test]

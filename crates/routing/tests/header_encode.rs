@@ -48,7 +48,7 @@ fn assert_table_routes(name: &str, topo: &Topology) {
         let table = RouteTable::compute(topo, &ud, policy).unwrap();
         let mut routes = 0;
         for route in table.iter() {
-            assert_same(&format!("{name} {policy:?}"), route);
+            assert_same(&format!("{name} {policy:?}"), &route);
             routes += 1;
         }
         assert_eq!(routes, topo.num_hosts() * (topo.num_hosts() - 1));

@@ -1,24 +1,33 @@
-//! A route table is built from one search per source switch. It must equal
-//! the per-pair planner run over every ordered pair in the same
-//! source-major order, round-robin in-transit host choice included.
+//! A route table is built from one search per source switch and stored
+//! as encoded headers. It must equal the per-pair planner run over every
+//! ordered pair in the same source-major order, round-robin in-transit host
+//! choice included: each pair's header bytes are `Header::encode` of the
+//! per-pair route, and the route decoded from them is that route.
 
+use itb_routing::figures;
 use itb_routing::metrics::route_links;
 use itb_routing::planner::{ItbHostSelection, ItbPlanner};
 use itb_routing::updown::{min_crossings, shortest_updown};
+use itb_routing::wire::Header;
 use itb_routing::{RouteTable, RoutingPolicy, SourceRoute};
-use itb_topo::builders::{cable, fig6_testbed, random_irregular, ring, IrregularSpec};
+use itb_topo::builders::{cable, chain, fig6_testbed, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, PortKind, SwitchId, Topology, UpDown};
 
 const SELECTIONS: [ItbHostSelection; 2] = [ItbHostSelection::First, ItbHostSelection::RoundRobin];
 
-/// The table, and the per-pair routes in (src, dst) order.
+/// The table with `overrides` installed, and the per-pair routes in (src,
+/// dst) order with the same overrides in their place.
 fn both_ways(
     topo: &Topology,
     ud: &UpDown,
     policy: RoutingPolicy,
     selection: ItbHostSelection,
-) -> (RouteTable, Vec<(HostId, HostId, SourceRoute)>) {
-    let table = RouteTable::compute_with_selection(topo, ud, policy, selection).unwrap();
+    overrides: &[SourceRoute],
+) -> (RouteTable, Vec<SourceRoute>) {
+    let mut table = RouteTable::compute_with_selection(topo, ud, policy, selection).unwrap();
+    for r in overrides {
+        table.set_route(r.clone());
+    }
     let mut planner = ItbPlanner::new(selection);
     let mut pairs = Vec::new();
     for s in topo.host_ids() {
@@ -27,27 +36,37 @@ fn both_ways(
                 RoutingPolicy::UpDown => shortest_updown(topo, ud, s, d).unwrap(),
                 RoutingPolicy::Itb => planner.route(topo, ud, s, d).unwrap(),
             };
-            pairs.push((s, d, r));
+            let over = overrides.iter().find(|o| (o.src, o.dst) == (s, d));
+            pairs.push(over.cloned().unwrap_or(r));
         }
     }
     (table, pairs)
 }
 
-fn assert_equivalent(name: &str, topo: &Topology) {
+fn assert_equivalent_with(name: &str, topo: &Topology, overrides: &[SourceRoute]) {
     let ud = UpDown::compute_default(topo);
     for policy in [RoutingPolicy::UpDown, RoutingPolicy::Itb] {
         for selection in SELECTIONS {
-            let (table, pairs) = both_ways(topo, &ud, policy, selection);
-            assert_eq!(table.iter().count(), pairs.len());
-            for (s, d, want) in &pairs {
-                assert_eq!(
-                    table.route(*s, *d),
-                    Some(want),
-                    "{name} {policy:?} {selection:?} {s}->{d}"
-                );
+            let (table, pairs) = both_ways(topo, &ud, policy, selection, overrides);
+            assert_eq!(table.num_hosts(), topo.num_hosts());
+            for want in &pairs {
+                let (s, d) = (want.src, want.dst);
+                let at = format!("{name} {policy:?} {selection:?} {s}->{d}");
+                assert_eq!(table.header(s, d), Header::encode(want).as_bytes(), "{at}");
+                assert_eq!(table.route(s, d).as_ref(), Some(want), "{at}");
+                assert_eq!(table.itb_count(s, d), want.itb_count(), "{at}");
             }
+            for h in topo.host_ids() {
+                assert!(table.header(h, h).is_empty());
+                assert_eq!(table.route(h, h), None);
+            }
+            assert!(table.iter().eq(pairs), "{name} {policy:?} {selection:?}");
         }
     }
+}
+
+fn assert_equivalent(name: &str, topo: &Topology) {
+    assert_equivalent_with(name, topo, &[]);
 }
 
 #[test]
@@ -57,7 +76,25 @@ fn ring_table_matches_per_pair_routes() {
 
 #[test]
 fn fig6_table_matches_per_pair_routes() {
-    assert_equivalent("fig6", &fig6_testbed().topo);
+    let tb = fig6_testbed();
+    assert_equivalent("fig6", &tb.topo);
+    // The two evaluation routes over the same pair: the up*/down* one
+    // crosses the loop cable, the ITB one stops at the in-transit host.
+    for forward in [figures::fig8_ud_route(&tb), figures::fig8_itb_route(&tb)] {
+        let overrides = [forward, figures::fig8_return_route(&tb)];
+        assert_equivalent_with("fig6 + fig8 overrides", &tb.topo, &overrides);
+    }
+}
+
+#[test]
+fn long_chain_headers_spill_past_the_inline_buffer() {
+    // host0 -> host31 crosses 32 switches: a 34-byte header.
+    let topo = chain(32, 1);
+    assert_equivalent("chain(32, 1)", &topo);
+    let ud = UpDown::compute_default(&topo);
+    let table = RouteTable::compute(&topo, &ud, RoutingPolicy::Itb).unwrap();
+    assert_eq!(table.header(HostId(0), HostId(31)).len(), 34);
+    assert!(Header::encode(&table.route(HostId(0), HostId(31)).unwrap()).len() > 30);
 }
 
 #[test]
@@ -109,7 +146,7 @@ fn hostless_switches_table_matches_per_pair_routes() {
     assert!(
         table
             .iter()
-            .any(|r| route_links(r) + 1 > min_crossings(&topo, r.src, r.dst).unwrap()),
+            .any(|r| route_links(&r) + 1 > min_crossings(&topo, r.src, r.dst).unwrap()),
         "a host-less violating switch must force a longer route somewhere"
     );
 }
@@ -129,7 +166,7 @@ fn early_stop_route_matches_full_tree_route() {
             let alone = ItbPlanner::new(ItbHostSelection::First)
                 .route(&topo, &ud, s, d)
                 .unwrap();
-            assert_eq!(table.route(s, d), Some(&alone), "{s}->{d}");
+            assert_eq!(table.route(s, d), Some(alone), "{s}->{d}");
         }
     }
 }

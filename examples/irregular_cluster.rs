@@ -60,8 +60,8 @@ fn main() {
          takes {} links using {} in-transit buffer(s)",
         worst.src,
         worst.dst,
-        route_links(worst),
-        route_links(itb_alt),
+        route_links(&worst),
+        route_links(&itb_alt),
         itb_alt.itb_count()
     );
 }

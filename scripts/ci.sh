@@ -54,7 +54,8 @@ mc_a=$(mktemp -d)
 mc_b=$(mktemp -d)
 dl_a=$(mktemp -d)
 dl_b=$(mktemp -d)
-trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b"' EXIT
+routes=$(mktemp -d)
+trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b" "$routes"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
@@ -117,6 +118,16 @@ echo "== static deadlock-freedom audit (CDG acyclicity, byte-identical) =="
 ITB_RESULTS_DIR="$dl_a" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
 ITB_RESULTS_DIR="$dl_b" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
 cmp "$dl_a/deadlock_audit.json" "$dl_b/deadlock_audit.json"
+
+echo "== route-dependent artifacts (fresh runs equal the committed files) =="
+# The audit above and the two route-set analyses below read every route of
+# their tables; a change to route computation, encoding or decoding that
+# moves one route shows up here as a diff against results/.
+cmp "$dl_a/deadlock_audit.json" results/deadlock_audit.json
+ITB_RESULTS_DIR="$routes" cargo run --release -q -p itb-bench --bin motivation_balance > /dev/null
+ITB_RESULTS_DIR="$routes" cargo run --release -q -p itb-bench --bin ablation_root > /dev/null
+cmp "$routes/motivation_balance.json" results/motivation_balance.json
+cmp "$routes/ablation_root.json" results/ablation_root.json
 
 echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 # The sharded conservative-PDES engine must reproduce the sequential event
