@@ -55,7 +55,9 @@ mc_b=$(mktemp -d)
 dl_a=$(mktemp -d)
 dl_b=$(mktemp -d)
 routes=$(mktemp -d)
-trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b" "$routes"' EXIT
+figs=$(mktemp -d)
+mc_full=$(mktemp -d)
+trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b" "$routes" "$figs" "$mc_full"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
@@ -109,6 +111,13 @@ ITB_RESULTS_DIR="$mc_a" cargo run --release -q -p itb-bench --bin model_check --
 ITB_RESULTS_DIR="$mc_b" cargo run --release -q -p itb-bench --bin model_check -- --smoke
 cmp "$mc_a/model_check.json" "$mc_b/model_check.json"
 
+echo "== full model check (fresh run equals the committed file) =="
+# The full sweep (50,243 states) at its default fault budget; its report
+# is fully deterministic, so a change to the GM, NIC or network state
+# machines that moves one explored state shows up as a diff here.
+ITB_RESULTS_DIR="$mc_full" cargo run --release -q -p itb-bench --bin model_check > /dev/null
+cmp "$mc_full/model_check.json" results/model_check.json
+
 echo "== static deadlock-freedom audit (CDG acyclicity, byte-identical) =="
 # Dally & Seitz: a route set is deadlock-free iff its channel dependency
 # graph is acyclic. Every shipped route set (fig6, gauntlet presets,
@@ -129,6 +138,17 @@ ITB_RESULTS_DIR="$routes" cargo run --release -q -p itb-bench --bin ablation_roo
 cmp "$routes/motivation_balance.json" results/motivation_balance.json
 cmp "$routes/ablation_root.json" results/ablation_root.json
 
+echo "== paper headline artifacts (fig7/fig8 equal the committed files) =="
+# The Figure 7 and Figure 8 ping-pong sweeps at their default 100
+# iterations, with their traces, metrics and latency attribution: every
+# output is sim-time data, so a fresh run must equal results/ byte for byte.
+ITB_RESULTS_DIR="$figs" cargo run --release -q -p itb-bench --bin fig7 > /dev/null
+ITB_RESULTS_DIR="$figs" cargo run --release -q -p itb-bench --bin fig8 > /dev/null
+for f in fig7.json fig7_trace.jsonl fig7_trace_chrome.json \
+  fig8.json fig8_attribution.json fig8_metrics.json fig8_trace.jsonl fig8_trace_chrome.json; do
+  cmp "$figs/$f" "results/$f"
+done
+
 echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 # The sharded conservative-PDES engine must reproduce the sequential event
 # order exactly on the pdes_smoke load scenarios: the sequential reference
@@ -140,5 +160,6 @@ echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 ITB_RESULTS_DIR="$par_a" ITB_THREADS=1 cargo run --release -q -p itb-bench --bin pdes_smoke
 ITB_RESULTS_DIR="$par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench --bin pdes_smoke
 cmp "$par_a/pdes_smoke_digest.json" "$par_b/pdes_smoke_digest.json"
+cmp "$par_a/pdes_smoke_digest.json" results/pdes_smoke_digest.json
 
 echo "CI OK"
