@@ -1,9 +1,10 @@
 //! The integrated cluster: network + NICs + GM hosts behind one event loop.
 
-use crate::apps::{AppBehavior, PingPongState};
+use crate::apps::{App, AppBehavior, PingPongState, Step};
 use crate::config::GmConfig;
 use crate::host::{Host, QueuedPacket, RetransDecision, RxAction};
 use crate::meta::{Kind, PacketMeta};
+use crate::rounds::FlowRounds;
 use itb_net::HostIndication;
 use itb_net::{FaultPlan, FlowNet, HostCrash, NetConfig, NetEvent, NetSched, Network, PacketDesc};
 use itb_nic::{McpFlavor, McpTiming, Nic, NicEvent, NicOutput, NicSched};
@@ -180,14 +181,9 @@ pub const ESCALATE_CONTENTION: u32 = 8;
 /// The hybrid engine's flow-side state (see
 /// [`Cluster::enable_flow_regions`]).
 struct FlowMode {
-    /// The flow-level fabric carrying flow-eligible messages.
-    net: FlowNet,
+    rounds: FlowRounds<ClusterEvent>,
     /// Region decomposition + per-region fidelity (escalation mutates it).
     plan: RegionPlan,
-    /// Coarse round length.
-    round: SimDuration,
-    /// Whether a `FlowRound` event is currently scheduled.
-    armed: bool,
     /// Per-(src, dst) clamp keeping flow completions FIFO within a pair:
     /// a later message never schedules its delivery before an earlier one
     /// (the queue's FIFO tie-break then preserves order at equal times).
@@ -197,12 +193,6 @@ struct FlowMode {
     /// the lower-numbered side).
     // detlint::allow(T003, derived from the immutable topology + partition at enable time)
     region_links: Vec<Vec<u32>>,
-    /// Messages carried by the flow engine (diagnostics counter).
-    // detlint::allow(T003, diagnostics counter: never read by a transition)
-    flow_msgs: u64,
-    /// Messages completed by the flow engine (diagnostics counter).
-    // detlint::allow(T003, diagnostics counter: never read by a transition)
-    flow_delivered: u64,
     /// Regions escalated to packet fidelity so far.
     // detlint::allow(T003, diagnostics counter: mirrors the digested fidelity vector)
     escalations: u64,
@@ -219,11 +209,6 @@ impl NetSched for Sink<'_> {
 impl NicSched for Sink<'_> {
     fn nic_at(&mut self, t: SimTime, ev: NicEvent) {
         self.0.schedule(t, ClusterEvent::Nic(ev));
-    }
-}
-impl Sink<'_> {
-    fn host_at(&mut self, t: SimTime, ev: HostEvent) {
-        self.0.schedule(t, ClusterEvent::Host(ev));
     }
 }
 
@@ -305,14 +290,9 @@ enum Observing {
     /// What [`Cluster::enable_timeline`] and [`Cluster::enable_health`]
     /// asked for; nothing is built before [`Cluster::start`].
     Planned(itb_obs::ObserverPlan),
-    /// Built by [`Cluster::start`] over the final metric schema.
-    Running(Box<itb_obs::Observers>),
-}
-
-impl Default for Observing {
-    fn default() -> Self {
-        Observing::Planned(itb_obs::ObserverPlan::default())
-    }
+    /// [`Cluster::start`] has run: the observers it built over the final
+    /// metric schema (None when nothing was planned).
+    Running(Option<Box<itb_obs::Observers>>),
 }
 
 impl Observing {
@@ -320,26 +300,26 @@ impl Observing {
     fn every(&self) -> Option<SimDuration> {
         match self {
             Observing::Planned(p) => p.every(),
-            Observing::Running(o) => Some(o.every()),
+            Observing::Running(o) => o.as_ref().map(|o| o.every()),
         }
     }
 
-    fn plan(&mut self) -> &mut itb_obs::ObserverPlan {
+    /// The plan, for the `what` call that must precede [`Cluster::start`].
+    fn plan(&mut self, what: &str) -> &mut itb_obs::ObserverPlan {
         match self {
             Observing::Planned(p) => p,
             Observing::Running(_) => {
-                // detlint::allow(S001, documented precondition of enable_timeline/enable_health)
-                panic!("observers are built at Cluster::start; enable them before it")
+                // detlint::allow(S001, documented precondition of the enable_* calls)
+                panic!("{what} must precede Cluster::start: the metric schema is final there")
             }
         }
     }
 
-    /// Build the planned observers over `schema`.
-    fn start(&mut self, schema: Arc<itb_obs::MetricsSchema>) {
+    /// Build the planned observers over `schema`, if any.
+    fn start(&mut self, schema: Option<Arc<itb_obs::MetricsSchema>>) {
         if let Observing::Planned(p) = self {
-            if let Some(o) = std::mem::take(p).build(schema) {
-                *self = Observing::Running(Box::new(o));
-            }
+            let built = schema.and_then(|s| std::mem::take(p).build(s));
+            *self = Observing::Running(built.map(Box::new));
         }
     }
 }
@@ -354,14 +334,7 @@ pub struct Cluster {
     /// an in-transit host must stay in the packet model).
     // detlint::allow(T003, immutable after construction: shared read-only with every host)
     table: Arc<RouteTable>,
-    // detlint::allow(T003, per-run workload configuration: fixed before the first event and never mutated)
-    behaviors: Vec<AppBehavior>,
-    ping: Vec<PingPongState>,
-    stream_sent: Vec<u32>,
-    poisson_sent: Vec<u32>,
-    a2a_sent: Vec<u32>,
-    // detlint::allow(T003, checker scenarios use only deterministic behaviors that never draw from the RNG streams)
-    rngs: Vec<SimRng>,
+    apps: Vec<App>,
     messages: FxHashMap<u32, MsgRecord>,
     /// O(1) mirror of "messages with `delivered_at` set" — the hot
     /// `run_while` predicates poll [`Cluster::delivered_count`] once per
@@ -461,7 +434,9 @@ impl Cluster {
             .map(|h| Host::new(HostId(h), p.gm, Arc::clone(&table), n))
             .collect();
         let master = SimRng::new(p.seed);
-        let rngs = (0..n as u64).map(|h| master.child(h)).collect();
+        let apps = (p.behaviors.into_iter().enumerate())
+            .map(|(h, b)| App::new(b, HostId(narrow(h)), narrow(n), master.child(h as u64)))
+            .collect();
         for c in &p.faults.crashes {
             assert!(c.host.idx() < n, "crash target must be a real host");
         }
@@ -471,12 +446,7 @@ impl Cluster {
             net,
             nics,
             hosts,
-            ping: vec![PingPongState::default(); n],
-            stream_sent: vec![0; n],
-            poisson_sent: vec![0; n],
-            a2a_sent: vec![0; n],
-            rngs,
-            behaviors: p.behaviors,
+            apps,
             messages: FxHashMap::default(),
             delivered_messages: 0,
             next_msg_id: 0,
@@ -496,7 +466,7 @@ impl Cluster {
             packets_abandoned: 0,
             crashes_injected: 0,
             shard: None,
-            observers: Observing::default(),
+            observers: Observing::Planned(itb_obs::ObserverPlan::default()),
             table,
             flow_mode: None,
         }
@@ -579,8 +549,11 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics on a zero round, a sharded cluster, a crash-bearing fault
-    /// plan, or a plan partitioned over a different switch count.
+    /// plan, a plan partitioned over a different switch count, or after
+    /// [`Cluster::start`].
     pub fn enable_flow_regions(&mut self, plan: RegionPlan, round: SimDuration) {
+        // The schema built at start must list the flow.* counters.
+        self.observers.plan("enable_flow_regions");
         assert!(round > SimDuration::ZERO, "flow round must be positive");
         assert!(
             self.shard.is_none(),
@@ -610,14 +583,10 @@ impl Cluster {
             region_links[region as usize].push(narrow(lid.idx()));
         }
         self.flow_mode = Some(FlowMode {
-            net: flow_net,
+            rounds: FlowRounds::new(flow_net, round, ClusterEvent::FlowRound),
             plan,
-            round,
-            armed: false,
             pair_fifo: FxHashMap::default(),
             region_links,
-            flow_msgs: 0,
-            flow_delivered: 0,
             escalations: 0,
         });
     }
@@ -636,7 +605,7 @@ impl Cluster {
         if self.table.itb_count(src, dst) > 0 {
             return false;
         }
-        fm.net.path_all(src, dst, |s| {
+        fm.rounds.net.path_all(src, dst, |s| {
             fm.plan.fidelity_of_switch(s) == RegionFidelity::Flow
         })
     }
@@ -651,31 +620,26 @@ impl Cluster {
 
     /// Messages carried (opened) by the flow engine so far.
     pub fn flow_messages(&self) -> u64 {
-        self.flow_mode.as_ref().map_or(0, |fm| fm.flow_msgs)
+        self.flow_mode.as_ref().map_or(0, |fm| fm.rounds.opened)
     }
 
-    /// One coarse flow round: re-solve the max-min rates over the live
-    /// flow set, escalate any Flow region whose links solved too close to
-    /// saturation (handing its flows back to the packet path with their
-    /// remaining bytes), then commit one `round` of service — completions
-    /// schedule their `AppDeliver` at the exact quantised offset, clamped
-    /// per (src, dst) pair so flow deliveries stay FIFO. Reschedules
-    /// itself while flows remain; otherwise the next flow-eligible send
-    /// re-arms it.
+    /// One coarse flow round of the shared cycle, plus the hybrid engine's
+    /// two additions: between solve and advance, escalate every Flow region
+    /// whose contention reached [`ESCALATE_CONTENTION`] and hand its flows
+    /// back to the packet path; and clamp completions per (src, dst) pair
+    /// so flow deliveries stay FIFO.
     fn on_flow_round(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         // detlint::allow(S001, FlowRound events are only scheduled in flow mode)
         let mut fm = self.flow_mode.take().expect("FlowRound requires flow mode");
-        fm.net.solve();
+        fm.rounds.net.solve();
 
         // Escalation sweep: regions whose busiest channel reached the
         // contention-depth trigger leave the flow model for good.
         let mut escalated = false;
         for r in 0..fm.plan.part.shards {
+            let links = fm.region_links[r as usize].iter().copied();
             if fm.plan.fidelity[r as usize] == RegionFidelity::Flow
-                && fm
-                    .net
-                    .peak_contention(fm.region_links[r as usize].iter().copied())
-                    >= ESCALATE_CONTENTION
+                && fm.rounds.net.peak_contention(links) >= ESCALATE_CONTENTION
             {
                 fm.plan.escalate(r);
                 fm.escalations += 1;
@@ -690,6 +654,7 @@ impl Cluster {
             // in id order: `pump_conn` never touches the flow engine, so
             // re-segmenting afterwards schedules the same events.
             let demoted = fm
+                .rounds
                 .net
                 .close_crossing(|s| fm.plan.fidelity_of_switch(s) == RegionFidelity::Packet);
             for (id, flow) in demoted {
@@ -702,20 +667,17 @@ impl Cluster {
                 self.pump_conn(flow.src, flow.dst, now, true, q);
             }
             // The surviving flows re-share the freed capacity this round.
-            fm.net.solve();
+            fm.rounds.net.solve();
         }
 
-        for done in fm.net.advance(fm.round) {
-            let msg_id: u32 = narrow(done.id);
+        let pair_fifo = &mut fm.pair_fifo;
+        fm.rounds.advance(now, q, |id, at, q| {
+            let msg_id: u32 = narrow(id);
             // detlint::allow(S001, every open flow has a message record)
-            let rec = *self.messages.get(&msg_id).expect("flow message record");
+            let rec = self.messages.get(&msg_id).expect("flow message record");
             let key = (rec.src.0, rec.dst.0);
-            let mut at = now + done.offset;
-            if let Some(&last) = fm.pair_fifo.get(&key) {
-                at = at.max(last);
-            }
-            fm.pair_fifo.insert(key, at);
-            fm.flow_delivered += 1;
+            let at = pair_fifo.get(&key).map_or(at, |&last| at.max(last));
+            pair_fifo.insert(key, at);
             q.schedule(
                 at,
                 ClusterEvent::Host(HostEvent::AppDeliver {
@@ -725,14 +687,7 @@ impl Cluster {
                     msg_id,
                 }),
             );
-        }
-
-        if fm.net.is_empty() {
-            fm.armed = false;
-        } else {
-            q.schedule(now + fm.round, ClusterEvent::FlowRound);
-            fm.armed = true;
-        }
+        });
         self.flow_mode = Some(fm);
     }
 
@@ -745,7 +700,7 @@ impl Cluster {
     /// # Panics
     /// Panics on a zero interval, or after [`Cluster::start`].
     pub fn enable_timeline(&mut self, interval: SimDuration) {
-        self.observers.plan().timeline(interval);
+        self.observers.plan("enable_timeline").timeline(interval);
     }
 
     /// Enable the runtime health monitors (stall watchdog, counter
@@ -759,29 +714,28 @@ impl Cluster {
     /// Panics on a zero interval or zero budget, or after
     /// [`Cluster::start`].
     pub fn enable_health(&mut self, interval: SimDuration, stall_budget: SimDuration) {
-        self.observers.plan().health(interval, stall_budget);
+        self.observers
+            .plan("enable_health")
+            .health(interval, stall_budget);
     }
 
     /// Take the recorded timeline (None if never enabled or before
     /// [`Cluster::start`]). The sampler is consumed.
     pub fn take_timeline(&mut self) -> Option<itb_obs::TimelineSampler> {
         match &mut self.observers {
-            Observing::Running(o) => o.take_timeline(),
-            Observing::Planned(_) => None,
+            Observing::Running(Some(o)) => o.take_timeline(),
+            _ => None,
         }
     }
 
     /// The running observers, moved out so the caller can read the rest of
     /// the cluster while feeding them; put them back with
-    /// `self.observers = Observing::Running(..)`. None before
+    /// `self.observers = Observing::Running(Some(..))`. None before
     /// [`Cluster::start`] or when nothing is observed.
     fn take_observers(&mut self) -> Option<Box<itb_obs::Observers>> {
-        match std::mem::take(&mut self.observers) {
-            Observing::Running(o) => Some(o),
-            planned => {
-                self.observers = planned;
-                None
-            }
+        match &mut self.observers {
+            Observing::Running(o) => o.take(),
+            Observing::Planned(_) => None,
         }
     }
 
@@ -830,7 +784,7 @@ impl Cluster {
         let mut obs = self.take_observers()?;
         self.fill_metrics_frame(now, obs.frame_mut());
         let health = obs.finish_health(self.traffic_pending(), || self.blocked_set());
-        self.observers = Observing::Running(obs);
+        self.observers = Observing::Running(Some(obs));
         let mut h = health?;
         let end_ns = now.as_ps() / 1_000;
         for (i, nic) in self.nics.iter().enumerate() {
@@ -867,16 +821,14 @@ impl Cluster {
         if !q.is_empty() || obs.stall_open(self.traffic_pending()) {
             q.schedule(now + obs.every(), ClusterEvent::Sample);
         }
-        self.observers = Observing::Running(obs);
+        self.observers = Observing::Running(Some(obs));
     }
 
     /// Kick off every host's application and schedule planned NIC crashes.
     pub fn start(&mut self, q: &mut EventQueue<ClusterEvent>) {
         // Flow mode is fixed by now, so the metric schema is final.
-        if matches!(&self.observers, Observing::Planned(p) if p.every().is_some()) {
-            let schema = self.build_metrics_schema();
-            self.observers.start(schema);
-        }
+        let schema = self.observers.every().map(|_| self.build_metrics_schema());
+        self.observers.start(schema);
         if let Some(iv) = self.observers.every() {
             q.schedule(SimTime::ZERO + iv, ClusterEvent::Sample);
         }
@@ -890,30 +842,12 @@ impl Cluster {
                 ClusterEvent::Host(HostEvent::NicRecover { host: c.host }),
             );
         }
-        for h in 0..self.behaviors.len() {
+        for h in 0..self.apps.len() {
             // Sharded runs kick off owned hosts only; the replicas of other
             // shards never touch this host's state or RNG stream.
-            if !self.owns_host(h) {
-                continue;
-            }
-            let host = HostId(narrow(h));
-            match &self.behaviors[h] {
-                AppBehavior::Sink | AppBehavior::Echo => {}
-                AppBehavior::PingPong { .. }
-                | AppBehavior::Stream { .. }
-                | AppBehavior::AllToAll { .. } => {
-                    q.schedule(
-                        SimTime::ZERO,
-                        ClusterEvent::Host(HostEvent::AppSend { host }),
-                    );
-                }
-                AppBehavior::Poisson { mean_gap, .. } => {
-                    let gap = self.rngs[h].exp(mean_gap.as_ns_f64());
-                    q.schedule(
-                        SimTime::ZERO + SimDuration::from_ns_f64(gap),
-                        ClusterEvent::Host(HostEvent::AppSend { host }),
-                    );
-                }
+            if self.owns_host(h) {
+                let step = self.apps[h].first_send();
+                self.apply(HostId(narrow(h)), step, SimTime::ZERO, q);
             }
         }
     }
@@ -925,15 +859,12 @@ impl Cluster {
 
     /// Ping-pong progress of a host.
     pub fn ping_state(&self, host: HostId) -> &PingPongState {
-        &self.ping[host.idx()]
+        &self.apps[host.idx()].ping
     }
 
     /// Whether every ping-pong initiator has finished its sweep.
     pub fn all_pingpongs_done(&self) -> bool {
-        self.behaviors
-            .iter()
-            .zip(&self.ping)
-            .all(|(b, s)| !matches!(b, AppBehavior::PingPong { .. }) || s.done)
+        self.apps.iter().all(App::ping_done)
     }
 
     /// NIC of a host (for stats inspection).
@@ -975,7 +906,7 @@ impl Cluster {
     /// Deliberately excluded as pure diagnostics: stats counters
     /// (`app_deliveries`, `drops_observed`, `packets_abandoned`,
     /// `crashes_injected`, per-layer stat blocks), ping-pong RTT samples,
-    /// the timeline/health observers, and the per-host RNG streams (checker
+    /// the timeline/health observers, and the apps' RNG streams (checker
     /// scenarios use only deterministic behaviors — Stream/Sink/Echo — whose
     /// evolution never draws from them). The `delivery_log` IS included: it
     /// is the substrate of the exactly-once/in-order invariants, so states
@@ -988,23 +919,7 @@ impl Cluster {
         for host in &self.hosts {
             host.state_digest(d);
         }
-        for st in &self.ping {
-            d.usize(st.size_ix);
-            d.u32(st.iter);
-            match st.sent_at {
-                Some(t) => {
-                    d.bool(true);
-                    d.u64(t.as_ps());
-                }
-                None => d.bool(false),
-            }
-            d.bool(st.done);
-        }
-        for v in [&self.stream_sent, &self.poisson_sent, &self.a2a_sent] {
-            for &sent in v {
-                d.u32(sent);
-            }
-        }
+        App::digest_all(&self.apps, d);
         let mut msg_ids: Vec<u32> = self.messages.keys().copied().collect();
         msg_ids.sort_unstable();
         d.usize(msg_ids.len());
@@ -1056,13 +971,14 @@ impl Cluster {
         // byte-exact legacy digests.
         if let Some(fm) = &self.flow_mode {
             d.u8(1);
-            d.u64(fm.round.as_ps());
-            d.bool(fm.armed);
+            d.u64(fm.rounds.round.as_ps());
+            // Whether a FlowRound is scheduled.
+            d.bool(!fm.rounds.net.is_empty());
             for f in &fm.plan.fidelity {
                 d.bool(matches!(f, RegionFidelity::Flow));
             }
-            d.usize(fm.net.len());
-            for (id, f) in fm.net.iter() {
+            d.usize(fm.rounds.net.len());
+            for (id, f) in fm.rounds.net.iter() {
                 d.u64(id);
                 d.u16(f.src.0);
                 d.u16(f.dst.0);
@@ -1209,11 +1125,11 @@ impl Cluster {
         ]);
         if let Some(fm) = &self.flow_mode {
             frame.counters.extend([
-                fm.net.bytes_delivered(),
+                fm.rounds.net.bytes_delivered(),
                 fm.escalations,
-                fm.flow_delivered,
-                fm.flow_msgs,
-                fm.net.solves(),
+                fm.rounds.completed,
+                fm.rounds.opened,
+                fm.rounds.net.solves(),
             ]);
         }
         self.net.fill_link_loads(&mut frame.links);
@@ -1230,8 +1146,8 @@ impl Cluster {
     /// accessor can never drift apart.
     pub fn metrics_snapshot(&self, now: SimTime) -> itb_obs::Snapshot {
         let schema = match &self.observers {
-            Observing::Running(o) => Arc::clone(o.schema()),
-            Observing::Planned(_) => self.build_metrics_schema(),
+            Observing::Running(Some(o)) => Arc::clone(o.schema()),
+            _ => self.build_metrics_schema(),
         };
         let mut frame = itb_obs::MetricsFrame::for_schema(&schema);
         self.fill_metrics_frame(now, &mut frame);
@@ -1269,12 +1185,8 @@ impl Cluster {
         if self.flow_eligible(src, dst) {
             // detlint::allow(S001, flow_eligible returned true so flow mode is on)
             let fm = self.flow_mode.as_mut().expect("flow mode is on");
-            fm.net.open(u64::from(msg_id), src, dst, u64::from(len));
-            fm.flow_msgs += 1;
-            if !fm.armed {
-                fm.armed = true;
-                q.schedule(now + fm.round, ClusterEvent::FlowRound);
-            }
+            let bytes = u64::from(len);
+            fm.rounds.open(u64::from(msg_id), src, dst, bytes, now, q);
             return msg_id;
         }
         self.hosts[src.idx()].segment_message(dst, len, msg_id);
@@ -1463,15 +1375,12 @@ impl Cluster {
                         };
                         if self.gm.reliability {
                             if let Some(seq) = ack {
-                                let mut sink = Sink(q);
-                                sink.host_at(
-                                    now + self.gm.o_ack,
-                                    HostEvent::SendAck {
-                                        host,
-                                        to: from,
-                                        seq,
-                                    },
-                                );
+                                let ev = HostEvent::SendAck {
+                                    host,
+                                    to: from,
+                                    seq,
+                                };
+                                q.schedule(now + self.gm.o_ack, ClusterEvent::Host(ev));
                             }
                         }
                         if let RxAction::Delivered { len, msg_id, .. } = action {
@@ -1483,16 +1392,13 @@ impl Cluster {
                                 u32::from(host.0),
                                 now + self.gm.o_recv,
                             );
-                            let mut sink = Sink(q);
-                            sink.host_at(
-                                now + self.gm.o_recv,
-                                HostEvent::AppDeliver {
-                                    host,
-                                    from,
-                                    len,
-                                    msg_id,
-                                },
-                            );
+                            let deliver = HostEvent::AppDeliver {
+                                host,
+                                from,
+                                len,
+                                msg_id,
+                            };
+                            q.schedule(now + self.gm.o_recv, ClusterEvent::Host(deliver));
                         }
                     }
                 }
@@ -1528,13 +1434,45 @@ impl Cluster {
                 let (nic, net) = self.nic_mut(host);
                 nic.submit_send(token, desc, now, net, &mut Sink(q));
             }
-            HostEvent::AppSend { host } => self.on_app_send(host, now, q),
+            HostEvent::AppSend { host } => {
+                let step = self.apps[host.idx()].on_send(now);
+                self.apply(host, step, now, q);
+            }
             HostEvent::AppDeliver {
                 host,
                 from,
                 len,
                 msg_id,
-            } => self.on_app_deliver(host, from, len, msg_id, now, q),
+            } => {
+                // Message ids are allocated per shard, so the record keeper is the
+                // *sender's* shard: a numeric match in this replica's map would be a
+                // different message entirely. Route the bookkeeping home instead.
+                let notice = DeliveryNotice {
+                    at: now,
+                    msg_id,
+                    from,
+                    seq: 0,
+                };
+                match &mut self.shard {
+                    Some(s) if s.host_shard[from.idx()] != s.me => {
+                        let seq = self.net.alloc_handoff_seq();
+                        s.notices[s.host_shard[from.idx()] as usize]
+                            .push(DeliveryNotice { seq, ..notice });
+                    }
+                    _ => {
+                        debug_assert!(
+                            (self.messages.get(&msg_id))
+                                .is_none_or(|r| r.dst == host && r.len == len),
+                            "a message reaches its destination whole"
+                        );
+                        self.apply_delivery_notice(notice);
+                    }
+                }
+                self.app_deliveries += 1;
+                self.delivery_log.push((from, host, msg_id));
+                let step = self.apps[host.idx()].on_deliver(from, len, now);
+                self.apply(host, step, now, q);
+            }
             HostEvent::RetransCheck { host, peer } => {
                 match self.hosts[host.idx()].check_retransmissions(peer, now) {
                     RetransDecision::Failed { abandoned } => {
@@ -1574,144 +1512,14 @@ impl Cluster {
         }
     }
 
-    fn on_app_send(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
-        match self.behaviors[host.idx()] {
-            AppBehavior::PingPong {
-                peer, ref sizes, ..
-            } => {
-                let st = &mut self.ping[host.idx()];
-                if st.done || st.size_ix >= sizes.len() {
-                    st.done = true;
-                    return;
-                }
-                let size = sizes[st.size_ix];
-                st.sent_at = Some(now);
-                self.send_message(host, peer, size, now, q);
-            }
-            AppBehavior::Stream { dst, size, count } => {
-                if self.stream_sent[host.idx()] >= count {
-                    return;
-                }
-                self.stream_sent[host.idx()] += 1;
-                self.send_message(host, dst, size, now, q);
-                // Next message immediately (back-to-back; NIC queues pace it).
-                if self.stream_sent[host.idx()] < count {
-                    q.schedule(now, ClusterEvent::Host(HostEvent::AppSend { host }));
-                }
-            }
-            AppBehavior::Poisson {
-                size,
-                mean_gap,
-                limit,
-            } => {
-                if limit > 0 && self.poisson_sent[host.idx()] >= limit {
-                    return;
-                }
-                self.poisson_sent[host.idx()] += 1;
-                // Uniform random destination other than self.
-                let n = self.hosts.len() as u64;
-                let mut dst = narrow::<u16, _>(self.rngs[host.idx()].below(n - 1));
-                if dst >= host.0 {
-                    dst += 1;
-                }
-                self.send_message(host, HostId(dst), size, now, q);
-                let gap = self.rngs[host.idx()].exp(mean_gap.as_ns_f64());
-                q.schedule_after(
-                    SimDuration::from_ns_f64(gap),
-                    ClusterEvent::Host(HostEvent::AppSend { host }),
-                );
-            }
-            AppBehavior::AllToAll { size, gap } => {
-                let n: u32 = narrow(self.hosts.len());
-                let k = self.a2a_sent[host.idx()];
-                if k >= n - 1 {
-                    return;
-                }
-                self.a2a_sent[host.idx()] += 1;
-                // Destination order: host+1, host+2, ... (mod n), skipping
-                // self — every host starts its exchange at a different peer,
-                // the standard skew for total exchanges.
-                let dst = HostId(narrow((u32::from(host.0) + 1 + k) % n));
-                self.send_message(host, dst, size, now, q);
-                if self.a2a_sent[host.idx()] < n - 1 {
-                    q.schedule_after(gap, ClusterEvent::Host(HostEvent::AppSend { host }));
-                }
-            }
-            AppBehavior::Sink | AppBehavior::Echo => {}
+    /// Carry out an app's step: send first, then schedule its next `AppSend`.
+    fn apply(&mut self, host: HostId, step: Step, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
+        let Step(send, next) = step;
+        if let Some((dst, len)) = send {
+            self.send_message(host, dst, len, now, q);
         }
-    }
-
-    fn on_app_deliver(
-        &mut self,
-        host: HostId,
-        from: HostId,
-        len: u32,
-        msg_id: u32,
-        now: SimTime,
-        q: &mut EventQueue<ClusterEvent>,
-    ) {
-        // Message ids are allocated per shard, so the record keeper is the
-        // *sender's* shard: a numeric match in this replica's map would be a
-        // different message entirely. Route the bookkeeping home instead.
-        let record_is_local = match &mut self.shard {
-            None => true,
-            Some(s) => {
-                let owner = s.host_shard[from.idx()];
-                if owner == s.me {
-                    true
-                } else {
-                    let seq = self.net.alloc_handoff_seq();
-                    s.notices[owner as usize].push(DeliveryNotice {
-                        at: now,
-                        msg_id,
-                        from,
-                        seq,
-                    });
-                    false
-                }
-            }
-        };
-        if record_is_local {
-            if let Some(rec) = self.messages.get_mut(&msg_id) {
-                debug_assert_eq!(rec.dst, host, "message delivered to its destination");
-                debug_assert_eq!(rec.len, len, "reassembled length matches");
-                if rec.delivered_at.is_none() {
-                    self.delivered_messages += 1;
-                }
-                rec.delivered_at = Some(now);
-            }
-        }
-        self.app_deliveries += 1;
-        self.delivery_log.push((from, host, msg_id));
-        match self.behaviors[host.idx()] {
-            AppBehavior::Echo => {
-                self.send_message(host, from, len, now, q);
-            }
-            AppBehavior::PingPong {
-                ref sizes,
-                iters,
-                warmup,
-                ..
-            } => {
-                let st = &mut self.ping[host.idx()];
-                // detlint::allow(S001, a pong is only delivered for an in-flight ping)
-                let sent = st.sent_at.take().expect("pong matches an in-flight ping");
-                let rtt = now - sent;
-                if st.iter >= warmup {
-                    st.samples.push((sizes[st.size_ix], rtt));
-                }
-                st.iter += 1;
-                if st.iter >= warmup + iters {
-                    st.iter = 0;
-                    st.size_ix += 1;
-                    if st.size_ix >= sizes.len() {
-                        st.done = true;
-                        return;
-                    }
-                }
-                q.schedule(now, ClusterEvent::Host(HostEvent::AppSend { host }));
-            }
-            _ => {}
+        if let Some(delay) = next {
+            q.schedule(now + delay, ClusterEvent::Host(HostEvent::AppSend { host }));
         }
     }
 }

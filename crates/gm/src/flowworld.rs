@@ -4,17 +4,15 @@
 //! fine at testbed scale, but a 1024-switch, 4096-host fabric would need
 //! ~16.7 million source routes before the first event fires. For the
 //! scaling experiments the hybrid engine's *flow side is the whole
-//! machine*: [`FlowWorld`] drives a [`FlowNet`] directly under the same
-//! deterministic event queue, with seeded arrivals, coarse rate-solve
-//! rounds, and per-completion delivery events.
-//!
-//! Every structure mirrors the hybrid Cluster's flow mode (same solver,
-//! same [`ByteInterval`](itb_sim::ByteInterval) quantisation, same
-//! round/advance cycle), so throughput measured here is the flow engine's
-//! honest cost — the things the Cluster adds (GM windows, the packet
-//! fabric) are exactly the things the 1024-switch scenario is designed to
-//! avoid.
+//! machine*: [`FlowWorld`] adds only seeded per-host arrivals to the flow
+//! round cycle it shares with the hybrid Cluster (same solver, same
+//! [`ByteInterval`](itb_sim::ByteInterval) quantisation, same
+//! round/advance/re-arm code), so throughput measured here is the flow
+//! engine's honest cost — the things the Cluster adds (GM windows, the
+//! packet fabric) are exactly what the 1024-switch scenario avoids.
 
+use crate::apps::{exp_gap, other_host};
+use crate::rounds::FlowRounds;
 use itb_net::FlowNet;
 use itb_sim::{narrow, EventQueue, SimDuration, SimRng, SimTime, World};
 use itb_topo::{HostId, Topology};
@@ -56,18 +54,12 @@ pub struct FlowWorldSpec {
 
 /// The flow-only machine: a [`FlowNet`] under an event loop.
 pub struct FlowWorld {
-    net: FlowNet,
-    hosts: usize,
+    rounds: FlowRounds<FlowWorldEvent>,
     spec: FlowWorldSpec,
     rngs: Vec<SimRng>,
     opened: Vec<u32>,
-    next_id: u64,
-    round_armed: bool,
     delivered: u64,
     peak_live: usize,
-    /// Per-flow service touches across all rounds — the flow engine's
-    /// equivalent of dispatched flit events, for throughput accounting.
-    service_ops: u64,
 }
 
 impl FlowWorld {
@@ -78,28 +70,28 @@ impl FlowWorld {
         assert!(hosts >= 2, "flows need two hosts");
         let master = SimRng::new(spec.seed);
         FlowWorld {
-            net: FlowNet::new(topo, spec.link_bytes_per_ns),
-            hosts,
+            rounds: FlowRounds::new(
+                FlowNet::new(topo, spec.link_bytes_per_ns),
+                spec.round,
+                FlowWorldEvent::Round,
+            ),
             spec,
             rngs: (0..hosts as u64).map(|h| master.child(h)).collect(),
             opened: vec![0; hosts],
-            next_id: 0,
-            round_armed: false,
             delivered: 0,
             peak_live: 0,
-            service_ops: 0,
         }
     }
 
     /// Schedule every host's first arrival.
     pub fn start(&mut self, q: &mut EventQueue<FlowWorldEvent>) {
-        for h in 0..self.hosts {
+        for h in 0..self.rngs.len() {
             if self.spec.flows_per_host == 0 {
                 break;
             }
-            let gap = self.rngs[h].exp(self.spec.mean_gap.as_ns_f64());
+            let gap = exp_gap(&mut self.rngs[h], self.spec.mean_gap);
             q.schedule(
-                SimTime::ZERO + SimDuration::from_ns_f64(gap),
+                SimTime::ZERO + gap,
                 FlowWorldEvent::Arrival { host: narrow(h) },
             );
         }
@@ -117,23 +109,17 @@ impl FlowWorld {
 
     /// Flows currently live.
     pub fn live(&self) -> usize {
-        self.net.len()
-    }
-
-    /// Per-flow service touches across all rounds (flow-engine equivalent
-    /// of dispatched flit events).
-    pub fn service_ops(&self) -> u64 {
-        self.service_ops
+        self.rounds.net.len()
     }
 
     /// Rate solves run so far.
     pub fn solves(&self) -> u64 {
-        self.net.solves()
+        self.rounds.net.solves()
     }
 
     /// Total bytes delivered.
     pub fn bytes_delivered(&self) -> u64 {
-        self.net.bytes_delivered()
+        self.rounds.net.bytes_delivered()
     }
 
     fn on_arrival(&mut self, host: u32, now: SimTime, q: &mut EventQueue<FlowWorldEvent>) {
@@ -142,40 +128,16 @@ impl FlowWorld {
             return;
         }
         self.opened[h] += 1;
-        // Uniform random destination other than self — the same discipline
-        // as the Poisson cluster workload.
-        let mut dst = narrow::<u16, _>(self.rngs[h].below(self.hosts as u64 - 1));
-        if usize::from(dst) >= h {
-            dst += 1;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.net
-            .open(id, HostId(narrow(h)), HostId(dst), self.spec.flow_bytes);
-        self.peak_live = self.peak_live.max(self.net.len());
-        if !self.round_armed {
-            self.round_armed = true;
-            q.schedule(now + self.spec.round, FlowWorldEvent::Round);
-        }
+        // The same destination draw as the Poisson cluster workload.
+        let hosts = self.rngs.len();
+        let dst = other_host(&mut self.rngs[h], h, hosts);
+        let (src, bytes) = (HostId(narrow(h)), self.spec.flow_bytes);
+        self.rounds
+            .open(self.rounds.opened, src, dst, bytes, now, q);
+        self.peak_live = self.peak_live.max(self.live());
         if self.opened[h] < self.spec.flows_per_host {
-            let gap = self.rngs[h].exp(self.spec.mean_gap.as_ns_f64());
-            q.schedule_after(
-                SimDuration::from_ns_f64(gap),
-                FlowWorldEvent::Arrival { host },
-            );
-        }
-    }
-
-    fn on_round(&mut self, now: SimTime, q: &mut EventQueue<FlowWorldEvent>) {
-        self.net.solve();
-        self.service_ops += self.net.len() as u64;
-        for done in self.net.advance(self.spec.round) {
-            q.schedule(now + done.offset, FlowWorldEvent::Deliver { id: done.id });
-        }
-        if self.net.is_empty() {
-            self.round_armed = false;
-        } else {
-            q.schedule(now + self.spec.round, FlowWorldEvent::Round);
+            let gap = exp_gap(&mut self.rngs[h], self.spec.mean_gap);
+            q.schedule_after(gap, FlowWorldEvent::Arrival { host });
         }
     }
 }
@@ -186,7 +148,12 @@ impl World for FlowWorld {
     fn handle(&mut self, now: SimTime, ev: FlowWorldEvent, q: &mut EventQueue<FlowWorldEvent>) {
         match ev {
             FlowWorldEvent::Arrival { host } => self.on_arrival(host, now, q),
-            FlowWorldEvent::Round => self.on_round(now, q),
+            FlowWorldEvent::Round => {
+                self.rounds.net.solve();
+                self.rounds.advance(now, q, |id, at, q| {
+                    q.schedule(at, FlowWorldEvent::Deliver { id });
+                });
+            }
             FlowWorldEvent::Deliver { .. } => self.delivered += 1,
         }
     }
@@ -221,7 +188,7 @@ mod tests {
         assert_eq!(w.live(), 0);
         assert!(w.peak_live() > 1, "arrivals overlap");
         assert_eq!(w.bytes_delivered(), total * 4_096);
-        assert!(w.solves() > 0 && w.service_ops() > 0);
+        assert!(w.solves() > 0);
     }
 
     #[test]
@@ -232,7 +199,7 @@ mod tests {
             let mut q = EventQueue::new();
             w.start(&mut q);
             run_until(&mut w, &mut q, SimTime::from_ms(500));
-            (w.delivered(), w.peak_live(), w.service_ops(), q.now())
+            (w.delivered(), w.peak_live(), w.solves(), q.now())
         };
         assert_eq!(run(), run());
     }

@@ -14,7 +14,8 @@
 //!   faults"), and the mapper-installed route table;
 //! * [`apps`] — application behaviours: the `gm_allsize`-style ping-pong
 //!   used in the paper's evaluation, echo responders, streaming senders and
-//!   Poisson traffic generators for the loaded-network experiments;
+//!   Poisson traffic generators for the loaded-network experiments, each run
+//!   by a per-host state machine that owns its progress;
 //! * [`cluster::Cluster`] — the complete simulated machine room: network +
 //!   NICs + hosts behind one deterministic event loop.
 
@@ -29,6 +30,7 @@ pub mod host;
 pub mod mapper;
 pub mod meta;
 pub mod par;
+mod rounds;
 
 pub use apps::AppBehavior;
 pub use cluster::{Cluster, ClusterEvent, DeliveryNotice, MsgRecord, ESCALATE_CONTENTION};

@@ -272,3 +272,18 @@ fn flow_only_run_does_not_trip_the_stall_watchdog() {
         report.violations
     );
 }
+
+/// The metric schema is frozen at `start`, so flow regions enabled after
+/// it would leave the `flow.*` counters out of every sampled row; the
+/// call itself must refuse.
+#[test]
+#[should_panic(expected = "enable_flow_regions must precede Cluster::start")]
+fn flow_regions_after_start_are_rejected_at_the_call() {
+    let spec = ClusterSpec::irregular(16, 1).with_routing(RoutingPolicy::Itb);
+    let mut hybrid = spec.build(vec![AppBehavior::Sink; spec.num_hosts()]);
+    hybrid.enable_health(FLOW_ROUND, FLOW_ROUND * 4);
+    let mut q = EventQueue::new();
+    hybrid.start(&mut q);
+    let plan = RegionPlan::all_flow(partition(spec.topology(), REGIONS, spec.seed));
+    hybrid.enable_flow_regions(plan, FLOW_ROUND);
+}
