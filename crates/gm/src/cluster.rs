@@ -346,18 +346,9 @@ pub struct Cluster {
     /// Packets posted but not yet handed to the NIC, by token, with their
     /// destination host.
     pending_submissions: FxHashMap<u64, (HostId, PacketDesc)>,
-    /// Per-connection submit clock, keyed `(src, dst)`: the time of the
-    /// last `SubmitPacket` that [`Cluster::schedule_submissions`] scheduled
-    /// and that has not fired yet. A release or resend starts no earlier
-    /// than one posting cost after it, so back-to-back bursts reach the NIC
-    /// in the order they were scheduled. The entry is dropped when that
-    /// submission fires, keeping the map as small as the set of
-    /// connections with a burst in progress.
-    // detlint::allow(T003, derived from digested state: the latest pending SubmitPacket event scheduled per connection)
-    submit_clock: FxHashMap<(u16, u16), SimTime>,
-    /// Reused scratch for [`Cluster::pump_conn`] (packets released by one
-    /// window pump).
-    // detlint::allow(T003, pump_conn scratch: drained to empty before the call returns)
+    /// Packets a send or window pump released, until [`Cluster::release`]
+    /// schedules them (reused scratch).
+    // detlint::allow(T003, release scratch: drained to empty before the call returns)
     release_buf: Vec<QueuedPacket>,
     /// Reused scratch for [`Cluster::pump`] (indications drained per event).
     // detlint::allow(T003, pump scratch: drained to empty before every event completes)
@@ -452,7 +443,6 @@ impl Cluster {
             next_msg_id: 0,
             next_token: 0,
             pending_submissions: FxHashMap::default(),
-            submit_clock: FxHashMap::default(),
             release_buf: Vec::new(),
             ind_buf: Vec::new(),
             out_buf: Vec::new(),
@@ -651,7 +641,7 @@ impl Cluster {
             // packet path: close it and re-segment the remaining bytes
             // under the same message id (the record's length shrinks to
             // what the packet path will actually deliver). One batch close
-            // in id order: `pump_conn` never touches the flow engine, so
+            // in id order: a packet send never touches the flow engine, so
             // re-segmenting afterwards schedules the same events.
             let demoted = fm
                 .rounds
@@ -663,8 +653,9 @@ impl Cluster {
                 if let Some(rec) = self.messages.get_mut(&msg_id) {
                     rec.len = remaining;
                 }
-                self.hosts[flow.src.idx()].segment_message(flow.dst, remaining, msg_id);
-                self.pump_conn(flow.src, flow.dst, now, true, q);
+                let host = &mut self.hosts[flow.src.idx()];
+                host.send(flow.dst, remaining, msg_id, now, &mut self.release_buf);
+                self.release(flow.src, flow.dst, now, self.gm.o_send, q);
             }
             // The surviving flows re-share the freed capacity this round.
             fm.rounds.net.solve();
@@ -1189,44 +1180,40 @@ impl Cluster {
             fm.rounds.open(u64::from(msg_id), src, dst, bytes, now, q);
             return msg_id;
         }
-        self.hosts[src.idx()].segment_message(dst, len, msg_id);
-        self.pump_conn(src, dst, now, true, q);
+        // A fresh application send pays the library-call cost.
+        self.hosts[src.idx()].send(dst, len, msg_id, now, &mut self.release_buf);
+        self.release(src, dst, now, self.gm.o_send, q);
         msg_id
     }
 
-    /// Release window-permitted packets of the `(src, dst)` connection to
-    /// the NIC, spaced by the per-packet host cost, and keep the
-    /// retransmission timer armed while anything is outstanding. A release
-    /// queues behind the connection's earlier submissions that have not
-    /// fired yet (see `submit_clock`).
-    fn pump_conn(
+    /// Hand the packets of the `(src, dst)` connection waiting in
+    /// `release_buf` to the NIC from `base` after `now` on, spaced by the
+    /// per-packet host cost, and keep the retransmission timer armed while
+    /// anything is outstanding. A release queues behind the connection's
+    /// earlier submissions that have not fired yet (see
+    /// [`ConnTx::submit_clock`](crate::host::ConnTx::submit_clock)).
+    fn release(
         &mut self,
         src: HostId,
         dst: HostId,
         now: SimTime,
-        fresh_send: bool,
+        base: SimDuration,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        let mut released = std::mem::take(&mut self.release_buf);
-        self.hosts[src.idx()].pump_window(dst, now, &mut released);
-        if released.is_empty() {
-            self.release_buf = released;
+        if self.release_buf.is_empty() {
             return;
         }
-        // A fresh application send pays the library-call cost; ACK-driven
-        // window refills only pay the per-packet posting cost (the library
-        // call already happened).
-        let base = if fresh_send {
-            self.gm.o_send
-        } else {
-            self.gm.o_send_per_packet
-        };
+        let mut released = std::mem::take(&mut self.release_buf);
         let packets = released.drain(..).map(|p| (p.payload_len, p.tag));
         self.schedule_submissions(src, dst, packets, now + base, q);
         self.release_buf = released;
         // Arm the retransmission timer for this connection.
-        if self.gm.reliability && !self.hosts[src.idx()].tx[dst.idx()].timer_armed {
-            self.hosts[src.idx()].tx[dst.idx()].timer_armed = true;
+        let reliability = self.gm.reliability;
+        if let Some(conn) = self.hosts[src.idx()]
+            .conn_tx_mut(dst)
+            .filter(|c| reliability && !c.timer_armed)
+        {
+            conn.timer_armed = true;
             q.schedule(
                 now + self.gm.retrans_timeout,
                 ClusterEvent::Host(HostEvent::RetransCheck {
@@ -1240,9 +1227,10 @@ impl Cluster {
     /// Schedule one `SubmitPacket` per `(payload_len, tag)` of the
     /// `(src, dst)` connection, spaced by the per-packet posting cost. The
     /// first starts at `earliest`, but no sooner than one posting cost
-    /// after the connection's last pending submission (see
-    /// `submit_clock`), so fresh sends, window refills and go-back-N
-    /// resends reach the NIC in the order they were scheduled.
+    /// after the connection's last pending submission (its submit clock),
+    /// so fresh sends, window refills and go-back-N resends reach the NIC
+    /// in the order they were scheduled. Every release and resend comes
+    /// from an open connection.
     fn schedule_submissions(
         &mut self,
         src: HostId,
@@ -1251,11 +1239,14 @@ impl Cluster {
         earliest: SimTime,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        let header = self.hosts[src.idx()].header_for(dst);
+        let host = &mut self.hosts[src.idx()];
+        let header = host.header_for(dst);
+        let Some(conn) = host.conn_tx_mut(dst) else {
+            return;
+        };
         let step = self.gm.o_send_per_packet;
-        let conn = (src.0, dst.0);
-        let mut at = match self.submit_clock.get(&conn) {
-            Some(&last) => earliest.max(last + step),
+        let mut at = match conn.submit_clock {
+            Some(last) => earliest.max(last + step),
             None => earliest,
         };
         let mut last = None;
@@ -1281,8 +1272,8 @@ impl Cluster {
             last = Some(at);
             at += step;
         }
-        if let Some(last) = last {
-            self.submit_clock.insert(conn, last);
+        if last.is_some() {
+            conn.submit_clock = last;
         }
     }
 
@@ -1362,7 +1353,10 @@ impl Cluster {
                     Kind::Ack => {
                         self.hosts[host.idx()].on_ack(from, meta.seq);
                         // Acks open the send window: release queued packets.
-                        self.pump_conn(host, from, now, false, q);
+                        // A refill pays only the per-packet posting cost.
+                        let buf = &mut self.release_buf;
+                        self.hosts[host.idx()].pump_window(from, now, buf);
+                        self.release(host, from, now, self.gm.o_send_per_packet, q);
                     }
                     Kind::Data => {
                         let payload = desc.payload_len - GM_PKT_OVERHEAD;
@@ -1410,13 +1404,11 @@ impl Cluster {
         match ev {
             HostEvent::SubmitPacket { host, token } => {
                 if let Some((dst, desc)) = self.pending_submissions.remove(&token) {
-                    let conn = (host.0, dst.0);
-                    if self
-                        .submit_clock
-                        .get(&conn)
-                        .is_some_and(|&last| last <= now)
+                    if let Some(conn) = self.hosts[host.idx()]
+                        .conn_tx_mut(dst)
+                        .filter(|c| c.submit_clock.is_some_and(|last| last <= now))
                     {
-                        self.submit_clock.remove(&conn);
+                        conn.submit_clock = None;
                     }
                     let (nic, net) = self.nic_mut(host);
                     nic.submit_send(token, desc, now, net, &mut Sink(q));
@@ -1477,11 +1469,10 @@ impl Cluster {
                 match self.hosts[host.idx()].check_retransmissions(peer, now) {
                     RetransDecision::Failed { abandoned } => {
                         // Retry budget gone: surface the failure instead of
-                        // resending forever, and disarm the timer.
+                        // resending forever. Nothing is left unacked, so the
+                        // timer disarms below.
                         self.connection_failures.push((host, peer));
                         self.packets_abandoned += abandoned as u64;
-                        self.hosts[host.idx()].tx[peer.idx()].timer_armed = false;
-                        return;
                     }
                     RetransDecision::Resend(due) => {
                         let packets = due.into_iter().map(|p| (p.payload_len, p.tag));
@@ -1497,8 +1488,8 @@ impl Cluster {
                         delay,
                         ClusterEvent::Host(HostEvent::RetransCheck { host, peer }),
                     );
-                } else {
-                    self.hosts[host.idx()].tx[peer.idx()].timer_armed = false;
+                } else if let Some(conn) = self.hosts[host.idx()].conn_tx_mut(peer) {
+                    conn.timer_armed = false;
                 }
             }
             HostEvent::NicCrash { host } => {

@@ -4,7 +4,7 @@ use crate::config::GmConfig;
 use crate::meta::{Kind, PacketMeta};
 use itb_routing::wire::Header;
 use itb_routing::RouteTable;
-use itb_sim::{SimDuration, SimTime};
+use itb_sim::{narrow, SimDuration, SimTime};
 use itb_topo::HostId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -82,6 +82,53 @@ pub struct ConnTx {
     pub failed: bool,
     /// Retransmissions performed (diagnostic).
     pub retransmissions: u64,
+    /// Submit clock: the time of the last `SubmitPacket` the cluster
+    /// scheduled on this connection that has not fired yet. A release or
+    /// resend starts no earlier than one posting cost after it, so
+    /// back-to-back bursts reach the NIC in the order they were scheduled;
+    /// the cluster clears it when that submission fires. Left out of
+    /// [`Host::state_digest`]: it is derived from digested state, the
+    /// latest pending `SubmitPacket` event scheduled on the connection.
+    pub submit_clock: Option<SimTime>,
+}
+
+impl ConnTx {
+    /// Hand `pkt` to the NIC: append it to `out` and, with reliability on,
+    /// register it as unacknowledged with `sent_at = now`.
+    fn release(
+        &mut self,
+        pkt: QueuedPacket,
+        reliability: bool,
+        now: SimTime,
+        out: &mut Vec<QueuedPacket>,
+    ) {
+        if reliability {
+            self.unacked.push_back(StoredPacket {
+                dst: pkt.dst,
+                seq: PacketMeta::decode(pkt.tag).seq,
+                payload_len: pkt.payload_len,
+                tag: pkt.tag,
+                sent_at: now,
+            });
+        }
+        out.push(pkt);
+    }
+
+    /// Release queued packets, oldest first, while the window has room.
+    fn pump(
+        &mut self,
+        window: usize,
+        reliability: bool,
+        now: SimTime,
+        out: &mut Vec<QueuedPacket>,
+    ) {
+        while self.unacked.len() < window {
+            let Some(pkt) = self.send_queue.pop_front() else {
+                break;
+            };
+            self.release(pkt, reliability, now, out);
+        }
+    }
 }
 
 /// Receiver half of a connection from one peer.
@@ -138,7 +185,15 @@ pub enum RetransDecision {
     },
 }
 
+/// Position of a peer with no open connection in [`Host`]'s `slot` index.
+const NO_CONN: u32 = u32::MAX;
+
 /// GM state of one host.
+///
+/// Connection state is created on first use: only a send to a peer or a
+/// DATA packet from it opens the connection, and then both halves at
+/// once. A host that never talks allocates nothing; the others hold state
+/// for the peers they actually use.
 pub struct Host {
     /// This host's id.
     pub id: HostId,
@@ -148,22 +203,69 @@ pub struct Host {
     /// The mapper-installed route table.
     // detlint::allow(T003, per-run routing function: fixed at mapper install time; route choices land in digested packet state)
     pub routes: Arc<RouteTable>,
-    /// Per-peer sender state (indexed by peer host).
+    /// Hosts in the cluster.
+    n: usize,
+    /// Peer index → position in `tx`/`rx`, or [`NO_CONN`]. Empty until the
+    /// first connection opens, then `n` long.
+    slot: Vec<u32>,
+    /// Sender halves of the open connections, in the order they opened.
+    /// A position is not a peer id: look peers up with [`Host::conn_tx`].
     pub tx: Vec<ConnTx>,
-    /// Per-peer receiver state.
+    /// Receiver halves, parallel to `tx`.
     pub rx: Vec<ConnRx>,
 }
 
 impl Host {
-    /// Fresh host state for a cluster of `n` hosts.
+    /// Fresh host state for a cluster of `n` hosts, with no connection open.
     pub fn new(id: HostId, cfg: GmConfig, routes: Arc<RouteTable>, n: usize) -> Self {
         Host {
             id,
             cfg,
             routes,
-            tx: (0..n).map(|_| ConnTx::default()).collect(),
-            rx: (0..n).map(|_| ConnRx::default()).collect(),
+            n,
+            slot: Vec::new(),
+            tx: Vec::new(),
+            rx: Vec::new(),
         }
+    }
+
+    /// Position of the connection with peer index `peer`, if open.
+    fn pos(&self, peer: usize) -> Option<usize> {
+        match self.slot.get(peer) {
+            Some(&s) if s != NO_CONN => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// Position of the connection with `peer` in `tx` and `rx`, opening it
+    /// (both halves, in their default state) on first use.
+    pub fn open(&mut self, peer: HostId) -> usize {
+        if let Some(i) = self.pos(peer.idx()) {
+            return i;
+        }
+        if self.slot.is_empty() {
+            self.slot = vec![NO_CONN; self.n];
+        }
+        let i = self.tx.len();
+        self.slot[peer.idx()] = narrow(i);
+        self.tx.push(ConnTx::default());
+        self.rx.push(ConnRx::default());
+        i
+    }
+
+    /// Sender state of the connection with `peer`, if open.
+    pub fn conn_tx(&self, peer: HostId) -> Option<&ConnTx> {
+        self.pos(peer.idx()).map(|i| &self.tx[i])
+    }
+
+    /// Mutable sender state of the connection with `peer`, if open.
+    pub(crate) fn conn_tx_mut(&mut self, peer: HostId) -> Option<&mut ConnTx> {
+        self.pos(peer.idx()).map(|i| &mut self.tx[i])
+    }
+
+    /// Receiver state of the connection with `peer`, if open.
+    pub fn conn_rx(&self, peer: HostId) -> Option<&ConnRx> {
+        self.pos(peer.idx()).map(|i| &self.rx[i])
     }
 
     /// The wire header for a packet to `dst`: a copy of the route
@@ -174,35 +276,58 @@ impl Host {
         Header::from_bytes(bytes)
     }
 
-    /// Segment a message into packets and queue them on the connection's
-    /// send queue. Call [`Host::pump_window`] to release packets to the NIC
-    /// as the send window allows. Messages to a failed connection are
-    /// silently discarded — the failure was already surfaced.
-    pub fn segment_message(&mut self, dst: HostId, len: u32, msg_id: u32) {
-        let n = self.cfg.packets_for(len);
-        let mtu = self.cfg.mtu;
-        let conn = &mut self.tx[dst.idx()];
+    /// GM's send-token window in packets; unbounded with reliability off.
+    fn window(&self) -> usize {
+        if self.cfg.reliability {
+            self.cfg.send_window as usize
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Send a message of `len` bytes to `dst`: segment it into packets and
+    /// append to `out` (a buffer the caller reuses) every packet the send
+    /// window lets through now; the rest wait on the connection's send
+    /// queue for [`Host::pump_window`]. Packets flow straight out only
+    /// while nothing is queued ahead of them, so the order and state are
+    /// those of queueing every packet and then pumping the window. Released
+    /// packets are registered as unacknowledged with `sent_at = now`.
+    /// Messages to a failed connection are silently discarded — the
+    /// failure was already surfaced.
+    pub fn send(
+        &mut self,
+        dst: HostId,
+        len: u32,
+        msg_id: u32,
+        now: SimTime,
+        out: &mut Vec<QueuedPacket>,
+    ) {
+        let (window, reliability) = (self.window(), self.cfg.reliability);
+        let (n, mtu) = (self.cfg.packets_for(len), self.cfg.mtu);
+        let i = self.open(dst);
+        let conn = &mut self.tx[i];
         if conn.failed {
             return;
         }
+        // A backlog the window has room for goes out ahead of this message.
+        conn.pump(window, reliability, now, out);
         let mut remaining = len;
-        for i in 0..n {
-            let payload = if n == 1 {
-                len
-            } else if i == n - 1 {
-                remaining
-            } else {
-                mtu
-            };
-            remaining -= payload;
+        for k in 0..n {
+            let last = k == n - 1;
+            let payload_len = if last { remaining } else { mtu };
+            remaining -= payload_len;
             let seq = conn.next_seq;
             conn.next_seq = conn.next_seq.wrapping_add(1);
-            let meta = PacketMeta::data(msg_id, seq, i == n - 1);
-            conn.send_queue.push_back(QueuedPacket {
+            let pkt = QueuedPacket {
                 dst,
-                payload_len: payload,
-                tag: meta.encode(),
-            });
+                payload_len,
+                tag: PacketMeta::data(msg_id, seq, last).encode(),
+            };
+            if conn.send_queue.is_empty() && conn.unacked.len() < window {
+                conn.release(pkt, reliability, now, out);
+            } else {
+                conn.send_queue.push_back(pkt);
+            }
         }
     }
 
@@ -213,38 +338,17 @@ impl Host {
     /// off the window is unbounded. The released packets are appended to
     /// `out`, a buffer the caller reuses across calls.
     pub fn pump_window(&mut self, dst: HostId, now: SimTime, out: &mut Vec<QueuedPacket>) {
-        let window = if self.cfg.reliability {
-            self.cfg.send_window as usize
-        } else {
-            usize::MAX
-        };
-        let reliability = self.cfg.reliability;
-        let conn = &mut self.tx[dst.idx()];
-        if conn.failed {
-            return;
-        }
-        while conn.unacked.len() < window {
-            let Some(pkt) = conn.send_queue.pop_front() else {
-                break;
-            };
-            if reliability {
-                let meta = PacketMeta::decode(pkt.tag);
-                conn.unacked.push_back(StoredPacket {
-                    dst: pkt.dst,
-                    seq: meta.seq,
-                    payload_len: pkt.payload_len,
-                    tag: pkt.tag,
-                    sent_at: now,
-                });
-            }
-            out.push(pkt);
+        let (window, reliability) = (self.window(), self.cfg.reliability);
+        if let Some(conn) = self.conn_tx_mut(dst).filter(|c| !c.failed) {
+            conn.pump(window, reliability, now, out);
         }
     }
 
     /// Process an incoming DATA packet from `from`.
     pub fn on_data(&mut self, from: HostId, payload_len: u32, meta: PacketMeta) -> RxAction {
         debug_assert_eq!(meta.kind, Kind::Data);
-        let conn = &mut self.rx[from.idx()];
+        let i = self.open(from);
+        let conn = &mut self.rx[i];
         if seq_lt(meta.seq, conn.expected) {
             conn.duplicates += 1;
             return RxAction::Duplicate {
@@ -272,9 +376,12 @@ impl Host {
 
     /// Process a cumulative ACK from `from`: drop all covered packets.
     /// Returns whether the ACK made progress (freed at least one packet);
-    /// progress resets the retransmission backoff.
+    /// progress resets the retransmission backoff. An ACK from a peer with
+    /// no open connection covers nothing.
     pub fn on_ack(&mut self, from: HostId, acked_seq: u32) -> bool {
-        let conn = &mut self.tx[from.idx()];
+        let Some(conn) = self.conn_tx_mut(from) else {
+            return false;
+        };
         let mut progressed = false;
         while conn
             .unacked
@@ -299,10 +406,9 @@ impl Host {
     /// failed and everything pending is abandoned.
     pub fn check_retransmissions(&mut self, peer: HostId, now: SimTime) -> RetransDecision {
         let cfg = self.cfg;
-        let conn = &mut self.tx[peer.idx()];
-        if conn.failed {
+        let Some(conn) = self.conn_tx_mut(peer).filter(|c| !c.failed) else {
             return RetransDecision::Idle;
-        }
+        };
         let timeout = effective_timeout(
             cfg.retrans_timeout,
             cfg.retrans_backoff_cap,
@@ -352,18 +458,18 @@ impl Host {
         effective_timeout(
             self.cfg.retrans_timeout,
             self.cfg.retrans_backoff_cap,
-            self.tx[peer.idx()].backoff_exp,
+            self.conn_tx(peer).map_or(0, |c| c.backoff_exp),
         )
     }
 
     /// Whether any packet to `peer` awaits acknowledgement.
     pub fn has_unacked(&self, peer: HostId) -> bool {
-        !self.tx[peer.idx()].unacked.is_empty()
+        self.conn_tx(peer).is_some_and(|c| !c.unacked.is_empty())
     }
 
     /// Whether the connection to `peer` has exhausted its retries.
     pub fn conn_failed(&self, peer: HostId) -> bool {
-        self.tx[peer.idx()].failed
+        self.conn_tx(peer).is_some_and(|c| c.failed)
     }
 
     /// Fold every behavioral field of this host's GM state — per-peer send
@@ -371,11 +477,16 @@ impl Host {
     /// cursors — into a model-checker digest. Diagnostic counters
     /// (`retransmissions`, `duplicates`) are excluded: they never influence
     /// a future transition. `sent_at` *is* behavioral (it drives timeout
-    /// eligibility) and is included.
+    /// eligibility) and is included. Peers come in peer order, and a peer
+    /// with no open connection digests as the default state, so the bytes
+    /// do not depend on which connections are open or in what order they
+    /// opened.
     pub fn state_digest(&self, d: &mut itb_sim::Digest) {
         d.u16(self.id.0);
-        d.usize(self.tx.len());
-        for conn in &self.tx {
+        d.usize(self.n);
+        let (idle_tx, idle_rx) = (ConnTx::default(), ConnRx::default());
+        for peer in 0..self.n {
+            let conn = self.pos(peer).map_or(&idle_tx, |i| &self.tx[i]);
             d.u32(conn.next_seq);
             d.usize(conn.send_queue.len());
             for p in &conn.send_queue {
@@ -395,7 +506,8 @@ impl Host {
             d.u32(conn.backoff_exp);
             d.bool(conn.failed);
         }
-        for conn in &self.rx {
+        for peer in 0..self.n {
+            let conn = self.pos(peer).map_or(&idle_rx, |i| &self.rx[i]);
             d.u32(conn.expected);
             d.u32(conn.partial_bytes);
         }
@@ -414,10 +526,22 @@ mod tests {
     }
 
     fn mk_host_cfg(id: u16, cfg: GmConfig) -> Host {
+        mk_host_n(id, cfg, 2)
+    }
+
+    /// A host in a cluster of `n`; the two-host route table is only read
+    /// by `header_for`.
+    fn mk_host_n(id: u16, cfg: GmConfig, n: usize) -> Host {
         let topo = chain(2, 1);
         let ud = UpDown::compute_default(&topo);
         let routes = Arc::new(RouteTable::compute(&topo, &ud, RoutingPolicy::UpDown).unwrap());
-        Host::new(HostId(id), cfg, routes, 2)
+        Host::new(HostId(id), cfg, routes, n)
+    }
+
+    fn digest(h: &Host) -> u64 {
+        let mut d = itb_sim::Digest::new();
+        h.state_digest(&mut d);
+        d.finish()
     }
 
     /// Release what the window allows into a fresh buffer.
@@ -427,10 +551,61 @@ mod tests {
         out
     }
 
-    /// Segment and immediately pump everything the window allows.
-    fn seg_pump(h: &mut Host, dst: HostId, len: u32, msg: u32) -> Vec<QueuedPacket> {
-        h.segment_message(dst, len, msg);
-        pump(h, dst, SimTime::ZERO)
+    /// Send at `now`; returns the packets released straight away.
+    fn send_at(h: &mut Host, dst: HostId, len: u32, msg: u32, now: SimTime) -> Vec<QueuedPacket> {
+        let mut out = Vec::new();
+        h.send(dst, len, msg, now, &mut out);
+        out
+    }
+
+    fn send(h: &mut Host, dst: HostId, len: u32, msg: u32) -> Vec<QueuedPacket> {
+        send_at(h, dst, len, msg, SimTime::ZERO)
+    }
+
+    fn tx(h: &Host, peer: u16) -> &ConnTx {
+        h.conn_tx(HostId(peer)).expect("connection is open")
+    }
+
+    /// The two-step send `Host::send` replaced: queue every packet of the
+    /// message on the connection, then pump the window.
+    fn segment_then_pump(
+        h: &mut Host,
+        dst: HostId,
+        len: u32,
+        msg_id: u32,
+        now: SimTime,
+    ) -> Vec<QueuedPacket> {
+        let (n, mtu) = (h.cfg.packets_for(len), h.cfg.mtu);
+        let i = h.open(dst);
+        let conn = &mut h.tx[i];
+        if conn.failed {
+            return Vec::new();
+        }
+        let mut remaining = len;
+        for k in 0..n {
+            let payload_len = if n == 1 {
+                len
+            } else if k == n - 1 {
+                remaining
+            } else {
+                mtu
+            };
+            remaining -= payload_len;
+            let meta = PacketMeta::data(msg_id, conn.next_seq, k == n - 1);
+            conn.next_seq = conn.next_seq.wrapping_add(1);
+            conn.send_queue.push_back(QueuedPacket {
+                dst,
+                payload_len,
+                tag: meta.encode(),
+            });
+        }
+        pump(h, dst, now)
+    }
+
+    fn wire(pkts: &[QueuedPacket]) -> Vec<(u16, u32, u64)> {
+        pkts.iter()
+            .map(|p| (p.dst.0, p.payload_len, p.tag))
+            .collect()
     }
 
     #[test]
@@ -449,7 +624,7 @@ mod tests {
     #[test]
     fn single_packet_message() {
         let mut h = mk_host(0);
-        let pkts = seg_pump(&mut h, HostId(1), 100, 1);
+        let pkts = send(&mut h, HostId(1), 100, 1);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].payload_len, 100);
         assert!(PacketMeta::decode(pkts[0].tag).last_in_msg);
@@ -459,7 +634,7 @@ mod tests {
     #[test]
     fn multi_packet_segmentation() {
         let mut h = mk_host(0);
-        let pkts = seg_pump(&mut h, HostId(1), 4096 * 2 + 100, 2);
+        let pkts = send(&mut h, HostId(1), 4096 * 2 + 100, 2);
         assert_eq!(pkts.len(), 3);
         assert_eq!(pkts[0].payload_len, 4096);
         assert_eq!(pkts[1].payload_len, 4096);
@@ -475,27 +650,25 @@ mod tests {
     #[test]
     fn window_limits_outstanding_packets() {
         let mut h = mk_host(0);
-        // 12 packets queued; default window is 8.
-        h.segment_message(HostId(1), 4096 * 12, 9);
-        let first = pump(&mut h, HostId(1), SimTime::ZERO);
+        // 12 packets; default window is 8.
+        let first = send(&mut h, HostId(1), 4096 * 12, 9);
         assert_eq!(first.len(), 8);
-        assert_eq!(h.tx[1].unacked.len(), 8);
-        assert_eq!(h.tx[1].send_queue.len(), 4);
+        assert_eq!(tx(&h, 1).unacked.len(), 8);
+        assert_eq!(tx(&h, 1).send_queue.len(), 4);
         // Nothing more until acks arrive.
         assert!(pump(&mut h, HostId(1), SimTime::ZERO).is_empty());
         // Ack 3 packets -> 3 more released.
         h.on_ack(HostId(1), 2);
         let more = pump(&mut h, HostId(1), SimTime::from_us(50));
         assert_eq!(more.len(), 3);
-        assert_eq!(h.tx[1].unacked.len(), 8);
-        assert_eq!(h.tx[1].send_queue.len(), 1);
+        assert_eq!(tx(&h, 1).unacked.len(), 8);
+        assert_eq!(tx(&h, 1).send_queue.len(), 1);
     }
 
     #[test]
     fn sent_at_stamped_at_release_not_segmentation() {
         let mut h = mk_host(0);
-        h.segment_message(HostId(1), 4096 * 12, 1);
-        pump(&mut h, HostId(1), SimTime::ZERO);
+        send(&mut h, HostId(1), 4096 * 12, 1);
         h.on_ack(HostId(1), 7); // clear the first window
         let released_at = SimTime::from_us(900);
         pump(&mut h, HostId(1), released_at);
@@ -515,7 +688,7 @@ mod tests {
     fn in_order_reassembly_delivers() {
         let mut sender = mk_host(0);
         let mut receiver = mk_host(1);
-        let pkts = seg_pump(&mut sender, HostId(1), 5000, 7);
+        let pkts = send(&mut sender, HostId(1), 5000, 7);
         let m0 = PacketMeta::decode(pkts[0].tag);
         let m1 = PacketMeta::decode(pkts[1].tag);
         let a0 = receiver.on_data(HostId(0), pkts[0].payload_len, m0);
@@ -562,10 +735,10 @@ mod tests {
     #[test]
     fn cumulative_ack_clears_window() {
         let mut h = mk_host(0);
-        seg_pump(&mut h, HostId(1), 4096 * 3, 1); // seqs 0,1,2
-        assert_eq!(h.tx[1].unacked.len(), 3);
+        send(&mut h, HostId(1), 4096 * 3, 1); // seqs 0,1,2
+        assert_eq!(tx(&h, 1).unacked.len(), 3);
         assert!(h.on_ack(HostId(1), 1));
-        assert_eq!(h.tx[1].unacked.len(), 1);
+        assert_eq!(tx(&h, 1).unacked.len(), 1);
         assert!(h.on_ack(HostId(1), 2));
         assert!(!h.has_unacked(HostId(1)));
         // Stale re-ACK makes no progress.
@@ -576,15 +749,15 @@ mod tests {
     fn ack_at_u32_max_does_not_overflow() {
         let mut h = mk_host(0);
         // Start the connection just below the wrap point.
-        h.tx[1].next_seq = u32::MAX - 1;
-        h.segment_message(HostId(1), 4096 * 4, 1); // seqs MAX-1, MAX, 0, 1
-        pump(&mut h, HostId(1), SimTime::ZERO);
-        assert_eq!(h.tx[1].unacked.len(), 4);
+        let i = h.open(HostId(1));
+        h.tx[i].next_seq = u32::MAX - 1;
+        send(&mut h, HostId(1), 4096 * 4, 1); // seqs MAX-1, MAX, 0, 1
+        assert_eq!(tx(&h, 1).unacked.len(), 4);
         // Cumulative ACK of u32::MAX must clear exactly the first two
         // packets (the old `split_off(&(acked + 1))` overflowed here).
         assert!(h.on_ack(HostId(1), u32::MAX));
-        assert_eq!(h.tx[1].unacked.len(), 2);
-        assert_eq!(h.tx[1].unacked.front().unwrap().seq, 0);
+        assert_eq!(tx(&h, 1).unacked.len(), 2);
+        assert_eq!(tx(&h, 1).unacked.front().unwrap().seq, 0);
         assert!(h.on_ack(HostId(1), 1));
         assert!(!h.has_unacked(HostId(1)));
     }
@@ -592,7 +765,8 @@ mod tests {
     #[test]
     fn receiver_sequence_wraparound() {
         let mut receiver = mk_host(1);
-        receiver.rx[0].expected = u32::MAX;
+        let i = receiver.open(HostId(0));
+        receiver.rx[i].expected = u32::MAX;
         assert!(matches!(
             receiver.on_data(HostId(0), 10, PacketMeta::data(1, u32::MAX, true)),
             RxAction::Delivered { ack: u32::MAX, .. }
@@ -608,7 +782,7 @@ mod tests {
             receiver.on_data(HostId(0), 10, PacketMeta::data(1, u32::MAX, true)),
             RxAction::Duplicate { ack: 0 }
         );
-        assert_eq!(receiver.rx[0].duplicates, 1);
+        assert_eq!(receiver.conn_rx(HostId(0)).unwrap().duplicates, 1);
         // And genuinely future sequences are still dropped.
         assert_eq!(
             receiver.on_data(HostId(0), 10, PacketMeta::data(3, 5, true)),
@@ -619,13 +793,13 @@ mod tests {
     #[test]
     fn retransmission_due_after_timeout() {
         let mut h = mk_host(0);
-        seg_pump(&mut h, HostId(1), 8192, 1); // seqs 0,1
+        send(&mut h, HostId(1), 8192, 1); // seqs 0,1
         assert!(h
             .due_retransmissions(HostId(1), SimTime::from_us(10))
             .is_empty());
         let due = h.due_retransmissions(HostId(1), SimTime::from_ms(2));
         assert_eq!(due.len(), 2, "go-back-N resends the whole window");
-        assert_eq!(h.tx[1].retransmissions, 2);
+        assert_eq!(tx(&h, 1).retransmissions, 2);
         // Freshly stamped: not due again immediately.
         assert!(h
             .due_retransmissions(HostId(1), SimTime::from_ms(2))
@@ -637,7 +811,7 @@ mod tests {
         let mut h = mk_host(0);
         let base = h.cfg.retrans_timeout;
         let cap = h.cfg.retrans_backoff_cap;
-        seg_pump(&mut h, HostId(1), 100, 1);
+        send(&mut h, HostId(1), 100, 1);
         assert_eq!(h.retrans_delay(HostId(1)), base);
         let mut now = SimTime::ZERO;
         let mut prev = SimDuration::ZERO;
@@ -666,8 +840,7 @@ mod tests {
         };
         let mut h = mk_host_cfg(0, cfg);
         // 12 packets: 8 in flight, 4 queued behind the window.
-        h.segment_message(HostId(1), 4096 * 12, 1);
-        pump(&mut h, HostId(1), SimTime::ZERO);
+        send(&mut h, HostId(1), 4096 * 12, 1);
         let mut now = SimTime::ZERO;
         let mut failed = None;
         for _ in 0..10 {
@@ -685,7 +858,7 @@ mod tests {
         assert!(h.conn_failed(HostId(1)));
         assert!(!h.has_unacked(HostId(1)));
         // A dead connection accepts no further traffic and never resends.
-        h.segment_message(HostId(1), 100, 2);
+        assert!(send_at(&mut h, HostId(1), 100, 2, now).is_empty());
         assert!(pump(&mut h, HostId(1), now).is_empty());
         assert_eq!(
             h.check_retransmissions(HostId(1), now + SimDuration::from_ms(100)),
@@ -706,7 +879,7 @@ mod tests {
             ..GmConfig::default()
         };
         let mut h = mk_host_cfg(0, cfg);
-        seg_pump(&mut h, HostId(1), 100, 1);
+        send(&mut h, HostId(1), 100, 1);
         let mut now = SimTime::ZERO;
         // Far past any plausible cap: default max_retries is 25, so 200
         // rounds is deep into would-have-failed territory.
@@ -721,7 +894,7 @@ mod tests {
         assert!(h.has_unacked(HostId(1)));
         // The backoff exponent keeps counting rounds, but the effective
         // timeout stays clamped at the cap (no overflow at high exponents).
-        assert_eq!(h.tx[1].backoff_exp, 200);
+        assert_eq!(tx(&h, 1).backoff_exp, 200);
         assert_eq!(h.retrans_delay(HostId(1)), h.cfg.retrans_backoff_cap);
         // An ACK still completes the round trip normally.
         assert!(h.on_ack(HostId(1), 0));
@@ -739,10 +912,162 @@ mod tests {
             ..GmConfig::default()
         };
         let mut h = Host::new(HostId(0), cfg, routes, 2);
-        h.segment_message(HostId(1), 4096 * 20, 1);
-        let pkts = pump(&mut h, HostId(1), SimTime::ZERO);
+        let pkts = send(&mut h, HostId(1), 4096 * 20, 1);
         assert_eq!(pkts.len(), 20, "no window without reliability");
         assert!(!h.has_unacked(HostId(1)));
+    }
+
+    #[test]
+    fn fresh_host_has_no_connections() {
+        let h = mk_host_n(0, GmConfig::default(), 5);
+        assert!(h.tx.is_empty() && h.rx.is_empty());
+        assert!(h.slot.is_empty(), "an idle host allocates no index");
+    }
+
+    #[test]
+    fn read_only_calls_open_nothing() {
+        let mut h = mk_host_n(0, GmConfig::default(), 5);
+        let peer = HostId(3);
+        assert!(
+            !h.on_ack(peer, 7),
+            "an ACK from an unknown peer covers nothing"
+        );
+        assert_eq!(
+            h.check_retransmissions(peer, SimTime::from_ms(5)),
+            RetransDecision::Idle
+        );
+        assert!(h.due_retransmissions(peer, SimTime::from_ms(5)).is_empty());
+        assert!(!h.has_unacked(peer));
+        assert!(!h.conn_failed(peer));
+        assert_eq!(h.retrans_delay(peer), h.cfg.retrans_timeout);
+        assert!(pump(&mut h, peer, SimTime::ZERO).is_empty());
+        assert!(h.conn_tx(peer).is_none() && h.conn_rx(peer).is_none());
+        assert!(h.tx.is_empty() && h.slot.is_empty());
+    }
+
+    #[test]
+    fn first_send_or_data_opens_both_halves() {
+        let mut h = mk_host_n(0, GmConfig::default(), 5);
+        send(&mut h, HostId(3), 100, 1);
+        h.on_data(HostId(1), 10, PacketMeta::data(1, 0, true));
+        assert_eq!((h.tx.len(), h.rx.len(), h.slot.len()), (2, 2, 5));
+        assert_eq!(tx(&h, 3).next_seq, 1);
+        assert_eq!(h.conn_rx(HostId(1)).unwrap().expected, 1);
+        // Each direction reuses the connection the other one opened.
+        send(&mut h, HostId(1), 100, 2);
+        h.on_data(HostId(3), 10, PacketMeta::data(1, 0, true));
+        assert_eq!(h.tx.len(), 2);
+    }
+
+    #[test]
+    fn fresh_digest_is_the_dense_layout() {
+        // id, n, five default `tx` records, then five default `rx` records.
+        let mut bytes = Vec::new();
+        bytes.extend(7u16.to_le_bytes());
+        bytes.extend(5u64.to_le_bytes());
+        for _ in 0..5 {
+            bytes.extend(0u32.to_le_bytes()); // next_seq
+            bytes.extend(0u64.to_le_bytes()); // send_queue.len()
+            bytes.extend(0u64.to_le_bytes()); // unacked.len()
+            bytes.push(0); // timer_armed
+            bytes.extend(0u32.to_le_bytes()); // backoff_exp
+            bytes.push(0); // failed
+        }
+        for _ in 0..5 {
+            bytes.extend(0u32.to_le_bytes()); // expected
+            bytes.extend(0u32.to_le_bytes()); // partial_bytes
+        }
+        let mut want = itb_sim::Digest::new();
+        want.bytes(&bytes);
+        assert_eq!(digest(&mk_host_n(7, GmConfig::default(), 5)), want.finish());
+    }
+
+    #[test]
+    fn digest_ignores_connection_open_order() {
+        let mut a = mk_host_n(0, GmConfig::default(), 5);
+        let mut b = mk_host_n(0, GmConfig::default(), 5);
+        a.open(HostId(3));
+        a.open(HostId(1));
+        b.open(HostId(1));
+        b.open(HostId(3));
+        for h in [&mut a, &mut b] {
+            send(h, HostId(1), 4096 * 10, 1);
+            send(h, HostId(3), 100, 2);
+            h.on_ack(HostId(1), 2);
+            h.on_data(HostId(3), 10, PacketMeta::data(9, 0, false));
+        }
+        assert_ne!(a.tx[0].next_seq, b.tx[0].next_seq, "positions differ");
+        assert_eq!(digest(&a), digest(&b));
+    }
+
+    #[test]
+    fn send_matches_segment_then_pump() {
+        // Each step runs on a host that sends with `send` and on a reference
+        // host that queues the whole message first and then pumps; every
+        // release and the resulting state must agree.
+        enum Op {
+            Send(u32, u32),
+            Ack(u32),
+            Pump,
+            Fail,
+        }
+        let script = [
+            Op::Send(100, 1),
+            Op::Send(4096 * 3 + 5, 2), // multi-packet: 5 in flight
+            Op::Send(4096 * 6, 3),     // fills the window of 8, queues 3
+            Op::Send(10, 4),           // queues behind the backlog
+            Op::Ack(2),                // frees 3 without a pump
+            Op::Send(4096, 5),         // the backlog goes first
+            Op::Pump,
+            Op::Ack(12),
+            Op::Send(4096 * 2, 6),
+            Op::Pump,
+            Op::Fail,
+            Op::Send(4096, 7), // a failed connection takes nothing
+            Op::Pump,
+        ];
+        for reliability in [true, false] {
+            let cfg = GmConfig {
+                reliability,
+                ..GmConfig::default()
+            };
+            let mut fused = mk_host_cfg(0, cfg);
+            let mut reference = mk_host_cfg(0, cfg);
+            let dst = HostId(1);
+            let mut backlog = 0;
+            for (step, op) in script.iter().enumerate() {
+                let now = SimTime::from_us(step as u64);
+                let (got, want) = match *op {
+                    Op::Send(len, msg) => (
+                        send_at(&mut fused, dst, len, msg, now),
+                        segment_then_pump(&mut reference, dst, len, msg, now),
+                    ),
+                    Op::Ack(seq) => {
+                        fused.on_ack(dst, seq);
+                        reference.on_ack(dst, seq);
+                        continue;
+                    }
+                    Op::Pump => (pump(&mut fused, dst, now), pump(&mut reference, dst, now)),
+                    Op::Fail => {
+                        fused.conn_tx_mut(dst).unwrap().failed = true;
+                        reference.conn_tx_mut(dst).unwrap().failed = true;
+                        continue;
+                    }
+                };
+                assert_eq!(
+                    wire(&got),
+                    wire(&want),
+                    "step {step}, reliability {reliability}"
+                );
+                assert_eq!(digest(&fused), digest(&reference), "step {step}");
+                backlog = backlog.max(tx(&fused, 1).send_queue.len());
+            }
+            assert_eq!(
+                backlog > 0,
+                reliability,
+                "only the window holds packets back"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`config::GmConfig`] — host-side costs (send/receive processing, MTU,
 //!   retransmission timeout) and the reliability switch;
 //! * [`host::Host`] — per-host GM state: message segmentation/reassembly,
-//!   per-peer connections with cumulative ACKs and go-back-N retransmission
-//!   (GM's "reliable and ordered packet delivery in presence of network
-//!   faults"), and the mapper-installed route table;
+//!   per-peer connections (opened on first use) with cumulative ACKs and
+//!   go-back-N retransmission (GM's "reliable and ordered packet delivery
+//!   in presence of network faults"), and the mapper-installed route table;
 //! * [`apps`] — application behaviours: the `gm_allsize`-style ping-pong
 //!   used in the paper's evaluation, echo responders, streaming senders and
 //!   Poisson traffic generators for the loaded-network experiments, each run

@@ -194,7 +194,7 @@ fn flushed_packets_recover_via_retransmission() {
         flushed > 0,
         "the starved pool should have flushed something"
     );
-    let retrans = c.host(tb.host1).tx[tb.host2.idx()].retransmissions;
+    let retrans = c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions;
     assert!(retrans > 0, "recovery must have used retransmissions");
 }
 
@@ -411,7 +411,7 @@ fn send_window_prevents_spurious_retransmissions() {
     run_until(&mut c, &mut q, SimTime::from_ms(100));
     assert_eq!(c.delivered_count(), 40);
     assert_eq!(
-        c.host(tb.host1).tx[tb.host2.idx()].retransmissions,
+        c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions,
         0,
         "healthy network must not retransmit"
     );
@@ -440,5 +440,8 @@ fn receive_backpressure_stalls_instead_of_dropping() {
     assert_eq!(c.delivered_count(), 15);
     assert_eq!(c.nic(tb.host2).stats().flushed, 0);
     assert!(c.nic(tb.host2).stats().rx_stalls > 0, "stalls must occur");
-    assert_eq!(c.host(tb.host1).tx[tb.host2.idx()].retransmissions, 0);
+    assert_eq!(
+        c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions,
+        0
+    );
 }

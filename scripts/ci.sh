@@ -44,40 +44,30 @@ echo "== cargo doc (deny warnings: broken, ambiguous and private doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== chaos smoke (seeded faults, exactly-once) =="
-chaos_a=$(mktemp -d)
-chaos_b=$(mktemp -d)
-par_a=$(mktemp -d)
-par_b=$(mktemp -d)
-stall_a=$(mktemp -d)
-stall_b=$(mktemp -d)
-mc_a=$(mktemp -d)
-mc_b=$(mktemp -d)
-dl_a=$(mktemp -d)
-dl_b=$(mktemp -d)
-routes=$(mktemp -d)
-figs=$(mktemp -d)
-mc_full=$(mktemp -d)
-trap 'rm -rf "$chaos_a" "$chaos_b" "$par_a" "$par_b" "$stall_a" "$stall_b" "$mc_a" "$mc_b" "$dl_a" "$dl_b" "$routes" "$figs" "$mc_full"' EXIT
+# One temp root for every step's outputs, one subdirectory per run (each
+# bin creates its ITB_RESULTS_DIR on first write).
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
-ITB_RESULTS_DIR="$chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
+ITB_RESULTS_DIR="$work/chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
 echo "== chaos determinism (same seed twice, byte-identical artifacts) =="
-ITB_RESULTS_DIR="$chaos_b" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
-cmp "$chaos_a/chaos_soak.json" "$chaos_b/chaos_soak.json"
+ITB_RESULTS_DIR="$work/chaos_b" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
+cmp "$work/chaos_a/chaos_soak.json" "$work/chaos_b/chaos_soak.json"
 # The observability artifacts are pure sim-time facts — same determinism
 # contract as the main artifact. (Profiler sidecars with barrier wall-ns
 # are deliberately NOT compared anywhere.)
-cmp "$chaos_a/chaos_timeline.jsonl" "$chaos_b/chaos_timeline.jsonl"
-cmp "$chaos_a/health_report.json" "$chaos_b/health_report.json"
+cmp "$work/chaos_a/chaos_timeline.jsonl" "$work/chaos_b/chaos_timeline.jsonl"
+cmp "$work/chaos_a/health_report.json" "$work/chaos_b/health_report.json"
 
 echo "== health stall self-test (watchdog must flag an unroutable fabric) =="
-ITB_RESULTS_DIR="$stall_a" cargo run --release -q -p itb-bench --bin health_stall
+ITB_RESULTS_DIR="$work/stall_a" cargo run --release -q -p itb-bench --bin health_stall
 echo "== health stall determinism (same run twice, byte-identical artifacts) =="
 # The only CI run where the watchdog fires: its timeline and report (with
 # the blocked set) are sim-time facts and must reproduce byte for byte.
-ITB_RESULTS_DIR="$stall_b" cargo run --release -q -p itb-bench --bin health_stall
-cmp "$stall_a/health_stall_timeline.jsonl" "$stall_b/health_stall_timeline.jsonl"
-cmp "$stall_a/health_report.json" "$stall_b/health_report.json"
+ITB_RESULTS_DIR="$work/stall_b" cargo run --release -q -p itb-bench --bin health_stall
+cmp "$work/stall_a/health_stall_timeline.jsonl" "$work/stall_b/health_stall_timeline.jsonl"
+cmp "$work/stall_a/health_report.json" "$work/stall_b/health_report.json"
 
 echo "== ledger correctness (every workload matches its committed digest) =="
 # One short untraced ledger run per workload at seed 1. Each must report
@@ -107,16 +97,16 @@ echo "== model check smoke (exhaustive interleavings, zero violations) =="
 # reproduction schedule. The binary itself asserts zero depth truncation,
 # so coverage at the stated fault budget is exhaustive, and the report
 # must be byte-identical across a double run.
-ITB_RESULTS_DIR="$mc_a" cargo run --release -q -p itb-bench --bin model_check -- --smoke
-ITB_RESULTS_DIR="$mc_b" cargo run --release -q -p itb-bench --bin model_check -- --smoke
-cmp "$mc_a/model_check.json" "$mc_b/model_check.json"
+ITB_RESULTS_DIR="$work/mc_a" cargo run --release -q -p itb-bench --bin model_check -- --smoke
+ITB_RESULTS_DIR="$work/mc_b" cargo run --release -q -p itb-bench --bin model_check -- --smoke
+cmp "$work/mc_a/model_check.json" "$work/mc_b/model_check.json"
 
 echo "== full model check (fresh run equals the committed file) =="
 # The full sweep (50,243 states) at its default fault budget; its report
 # is fully deterministic, so a change to the GM, NIC or network state
 # machines that moves one explored state shows up as a diff here.
-ITB_RESULTS_DIR="$mc_full" cargo run --release -q -p itb-bench --bin model_check > /dev/null
-cmp "$mc_full/model_check.json" results/model_check.json
+ITB_RESULTS_DIR="$work/mc_full" cargo run --release -q -p itb-bench --bin model_check > /dev/null
+cmp "$work/mc_full/model_check.json" results/model_check.json
 
 echo "== static deadlock-freedom audit (CDG acyclicity, byte-identical) =="
 # Dally & Seitz: a route set is deadlock-free iff its channel dependency
@@ -124,29 +114,29 @@ echo "== static deadlock-freedom audit (CDG acyclicity, byte-identical) =="
 # irregular64, a fresh 1024-switch fabric) must be acyclic; the cyclic
 # all-clockwise ring control must be flagged with its witness cycle. The
 # audit is the static complement of the model checker above.
-ITB_RESULTS_DIR="$dl_a" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
-ITB_RESULTS_DIR="$dl_b" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
-cmp "$dl_a/deadlock_audit.json" "$dl_b/deadlock_audit.json"
+ITB_RESULTS_DIR="$work/dl_a" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
+ITB_RESULTS_DIR="$work/dl_b" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
+cmp "$work/dl_a/deadlock_audit.json" "$work/dl_b/deadlock_audit.json"
 
 echo "== route-dependent artifacts (fresh runs equal the committed files) =="
 # The audit above and the two route-set analyses below read every route of
 # their tables; a change to route computation, encoding or decoding that
 # moves one route shows up here as a diff against results/.
-cmp "$dl_a/deadlock_audit.json" results/deadlock_audit.json
-ITB_RESULTS_DIR="$routes" cargo run --release -q -p itb-bench --bin motivation_balance > /dev/null
-ITB_RESULTS_DIR="$routes" cargo run --release -q -p itb-bench --bin ablation_root > /dev/null
-cmp "$routes/motivation_balance.json" results/motivation_balance.json
-cmp "$routes/ablation_root.json" results/ablation_root.json
+cmp "$work/dl_a/deadlock_audit.json" results/deadlock_audit.json
+ITB_RESULTS_DIR="$work/routes" cargo run --release -q -p itb-bench --bin motivation_balance > /dev/null
+ITB_RESULTS_DIR="$work/routes" cargo run --release -q -p itb-bench --bin ablation_root > /dev/null
+cmp "$work/routes/motivation_balance.json" results/motivation_balance.json
+cmp "$work/routes/ablation_root.json" results/ablation_root.json
 
 echo "== paper headline artifacts (fig7/fig8 equal the committed files) =="
 # The Figure 7 and Figure 8 ping-pong sweeps at their default 100
 # iterations, with their traces, metrics and latency attribution: every
 # output is sim-time data, so a fresh run must equal results/ byte for byte.
-ITB_RESULTS_DIR="$figs" cargo run --release -q -p itb-bench --bin fig7 > /dev/null
-ITB_RESULTS_DIR="$figs" cargo run --release -q -p itb-bench --bin fig8 > /dev/null
+ITB_RESULTS_DIR="$work/figs" cargo run --release -q -p itb-bench --bin fig7 > /dev/null
+ITB_RESULTS_DIR="$work/figs" cargo run --release -q -p itb-bench --bin fig8 > /dev/null
 for f in fig7.json fig7_trace.jsonl fig7_trace_chrome.json \
   fig8.json fig8_attribution.json fig8_metrics.json fig8_trace.jsonl fig8_trace_chrome.json; do
-  cmp "$figs/$f" "results/$f"
+  cmp "$work/figs/$f" "results/$f"
 done
 
 echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
@@ -157,9 +147,9 @@ echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 # is merely slow (the smoke workloads are tiny), never incorrect; skipping
 # here on small boxes previously left the cross-process contract unchecked
 # on the very machines producing committed results.
-ITB_RESULTS_DIR="$par_a" ITB_THREADS=1 cargo run --release -q -p itb-bench --bin pdes_smoke
-ITB_RESULTS_DIR="$par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench --bin pdes_smoke
-cmp "$par_a/pdes_smoke_digest.json" "$par_b/pdes_smoke_digest.json"
-cmp "$par_a/pdes_smoke_digest.json" results/pdes_smoke_digest.json
+ITB_RESULTS_DIR="$work/par_a" ITB_THREADS=1 cargo run --release -q -p itb-bench --bin pdes_smoke
+ITB_RESULTS_DIR="$work/par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench --bin pdes_smoke
+cmp "$work/par_a/pdes_smoke_digest.json" "$work/par_b/pdes_smoke_digest.json"
+cmp "$work/par_a/pdes_smoke_digest.json" results/pdes_smoke_digest.json
 
 echo "CI OK"

@@ -158,3 +158,37 @@ fn go_back_n_resends_keep_connection_submission_order() {
         "submissions fired out of scheduling order: {out_of_order:?}"
     );
 }
+
+#[test]
+fn hosts_hold_connections_only_for_the_peers_they_use() {
+    // Connection state opens on first use: a transpose stream pairs every
+    // host with one partner (it sends to and receives from the same peer),
+    // so each host holds exactly one connection; an all-to-all touches
+    // every other host.
+    let spec = ClusterSpec::irregular(16, 1);
+    let (cluster, n) = transpose_streams(&spec, 512, 2);
+    assert_eq!(cluster.delivered_count(), 2 * n);
+    for h in 0..n as u16 {
+        let host = cluster.host(HostId(h));
+        assert_eq!(host.tx.len(), 1, "host {h}");
+        assert_eq!(host.rx.len(), 1, "host {h}");
+        let partner = HostId(((usize::from(h) + n / 2) % n) as u16);
+        assert!(host.conn_tx(partner).is_some_and(|t| t.next_seq == 2));
+    }
+
+    let behaviors = vec![
+        itb_myrinet::gm::AppBehavior::AllToAll {
+            size: 64,
+            gap: itb_myrinet::sim::SimDuration::from_us(1),
+        };
+        n
+    ];
+    let mut cluster = spec.build(behaviors);
+    let mut q = itb_myrinet::sim::EventQueue::new();
+    cluster.start(&mut q);
+    itb_myrinet::sim::run_while(&mut cluster, &mut q, |_| true);
+    assert_eq!(cluster.delivered_count(), n * (n - 1));
+    for h in 0..n as u16 {
+        assert_eq!(cluster.host(HostId(h)).tx.len(), n - 1, "host {h}");
+    }
+}

@@ -37,7 +37,7 @@ fn starved_receiver_recovers_all_messages() {
         "injection must trigger"
     );
     assert!(
-        c.host(tb.host1).tx[tb.host2.idx()].retransmissions > 0,
+        c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions > 0,
         "recovery must go through retransmission"
     );
     // Exactly-once at the app level is already asserted by delivered_count;
@@ -119,7 +119,7 @@ fn crc_corruption_recovers_via_retransmission() {
         .sum();
     assert!(drops > 0, "corruption must have dropped packets");
     assert!(
-        c.host(tb.host1).tx[tb.host2.idx()].retransmissions > 0,
+        c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions > 0,
         "recovery via retransmission"
     );
 }
@@ -244,7 +244,7 @@ fn probabilistic_drops_recover_exactly_once() {
         "the plan must actually inject faults"
     );
     assert!(
-        c.host(tb.host1).tx[tb.host2.idx()].retransmissions > 0,
+        c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions > 0,
         "losses recover via retransmission"
     );
 }
@@ -280,7 +280,7 @@ fn link_down_window_recovers() {
         c.net.stats().link_down_drops > 0,
         "the outage must have eaten packets"
     );
-    assert!(c.host(tb.host1).tx[tb.host2.idx()].retransmissions > 0);
+    assert!(c.host(tb.host1).conn_tx(tb.host2).unwrap().retransmissions > 0);
 }
 
 #[test]

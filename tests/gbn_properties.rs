@@ -90,24 +90,27 @@ impl Adversary {
 fn exchange(start_seq: u32, sizes: &[u32], schedule: Vec<u8>) -> (Vec<(u32, u32)>, u64, u64, u64) {
     let mut sender = mk_host(SENDER);
     let mut receiver = mk_host(RECEIVER);
-    sender.tx[RECEIVER.idx()].next_seq = start_seq;
-    receiver.rx[SENDER.idx()].expected = start_seq;
+    let tx = sender.open(RECEIVER);
+    sender.tx[tx].next_seq = start_seq;
+    let rx = receiver.open(SENDER);
+    receiver.rx[rx].expected = start_seq;
+    let mut now = SimTime::ZERO;
+    // Every message is posted up front; the window holds back the rest.
+    let mut released = Vec::new();
     for (msg_id, &len) in sizes.iter().enumerate() {
-        sender.segment_message(RECEIVER, len, msg_id as u32);
+        sender.send(RECEIVER, len, msg_id as u32, now, &mut released);
     }
 
     let mut adversary = Adversary::new(schedule);
     let mut delivered = Vec::new();
-    let mut now = SimTime::ZERO;
     let mut rounds = 0usize;
     while delivered.len() < sizes.len() {
         rounds += 1;
         assert!(rounds < 2000, "exchange failed to converge");
 
-        let mut released = Vec::new();
         sender.pump_window(RECEIVER, now, &mut released);
         let mut outbound: Vec<Wire> = released
-            .into_iter()
+            .drain(..)
             .map(|p| Wire::Data {
                 payload_len: p.payload_len,
                 tag: p.tag,
@@ -156,8 +159,8 @@ fn exchange(start_seq: u32, sizes: &[u32], schedule: Vec<u8>) -> (Vec<(u32, u32)
     (
         delivered,
         adversary.faults,
-        sender.tx[RECEIVER.idx()].retransmissions,
-        receiver.rx[SENDER.idx()].duplicates,
+        sender.conn_tx(RECEIVER).unwrap().retransmissions,
+        receiver.conn_rx(SENDER).unwrap().duplicates,
     )
 }
 
