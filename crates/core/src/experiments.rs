@@ -210,8 +210,8 @@ pub fn latency_breakdown(
     let mut q = EventQueue::new();
     cluster.start(&mut q);
     run_while(&mut cluster, &mut q, |c| c.delivered_count() < 1);
-    // detlint::allow(S001, the run injects exactly one message)
-    let rec = *cluster.messages().values().next().expect("one message");
+    // The run injects exactly one message, id 0.
+    let rec = cluster.messages()[0];
     let timelines = cluster.net.take_retired_timelines();
     // Find the data packet's timeline: it has a "head" entry at dst (ACKs
     // flow the other way).
@@ -374,14 +374,14 @@ pub fn stream_bandwidth(
             assert_eq!(cluster.delivered_count(), count as usize);
             let first_send = cluster
                 .messages()
-                .values()
+                .iter()
                 .map(|r| r.sent_at)
                 .min()
                 // detlint::allow(S001, the run injects at least one message)
                 .expect("messages exist");
             let last_delivery = cluster
                 .messages()
-                .values()
+                .iter()
                 .filter_map(|r| r.delivered_at)
                 .max()
                 // detlint::allow(S001, run_until drains the queue so every message is delivered)
@@ -443,7 +443,7 @@ pub fn total_exchange(spec: &ClusterSpec, size: u32, horizon_ms: u64) -> Exchang
     );
     let mut makespan = SimTime::ZERO;
     let mut lat = Accum::new();
-    for rec in cluster.messages().values() {
+    for rec in cluster.messages() {
         // detlint::allow(S001, a drained run implies delivery)
         let d = rec.delivered_at.expect("all delivered");
         makespan = makespan.max(d);
@@ -490,7 +490,7 @@ pub fn permutation_exchange(
     assert_eq!(cluster.delivered_count(), expected);
     let mut makespan = SimTime::ZERO;
     let mut lat = Accum::new();
-    for rec in cluster.messages().values() {
+    for rec in cluster.messages() {
         // detlint::allow(S001, a drained run implies delivery)
         let d = rec.delivered_at.expect("all delivered");
         makespan = makespan.max(d);
@@ -577,10 +577,8 @@ pub fn summarize_window(
     let mut bytes = 0u64;
     let mut lat = Accum::new();
     let mut p99 = itb_sim::stats::P2Quantile::new(0.99);
-    // Deterministic sample order for the streaming estimator.
-    let mut recs: Vec<_> = cluster.messages().iter().collect();
-    recs.sort_by_key(|(&id, _)| id);
-    for (_, rec) in recs {
+    // Samples reach the streaming estimator in message-id order.
+    for rec in cluster.messages() {
         if rec.sent_at < w_start || rec.sent_at >= w_end {
             continue;
         }

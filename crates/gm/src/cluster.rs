@@ -26,12 +26,20 @@ pub enum HostEvent {
         /// Acting host.
         host: HostId,
     },
-    /// Host CPU finished posting a packet; hand it to the NIC.
+    /// Host CPU finished posting a packet; hand it to the NIC. The event
+    /// is the packet's only copy; its header is read from the
+    /// mapper-installed route table when it fires.
     SubmitPacket {
         /// Acting host.
         host: HostId,
-        /// Pre-built packet token.
+        /// Destination: the connection's peer.
+        peer: HostId,
+        /// GM payload bytes (without [`GM_PKT_OVERHEAD`]).
+        payload_len: u32,
+        /// NIC send token, allocated in scheduling order.
         token: u64,
+        /// Encoded [`PacketMeta`] tag.
+        tag: u64,
     },
     /// A reassembled message reaches the application.
     AppDeliver {
@@ -81,10 +89,19 @@ impl HostEvent {
                 d.u8(0);
                 d.u16(host.0);
             }
-            HostEvent::SubmitPacket { host, token } => {
+            HostEvent::SubmitPacket {
+                host,
+                peer,
+                payload_len,
+                token,
+                tag,
+            } => {
                 d.u8(1);
                 d.u16(host.0);
+                d.u16(peer.0);
+                d.u32(payload_len);
                 d.u64(token);
+                d.u64(tag);
             }
             HostEvent::AppDeliver {
                 host,
@@ -335,19 +352,17 @@ pub struct Cluster {
     // detlint::allow(T003, immutable after construction: shared read-only with every host)
     table: Arc<RouteTable>,
     apps: Vec<App>,
-    messages: FxHashMap<u32, MsgRecord>,
+    /// Per-message records, indexed by message id (ids are dense per
+    /// shard: the next id is the length).
+    messages: Vec<MsgRecord>,
     /// O(1) mirror of "messages with `delivered_at` set" — the hot
     /// `run_while` predicates poll [`Cluster::delivered_count`] once per
-    /// dispatched event, so it must not scan the message map.
-    // detlint::allow(T003, derived mirror of the digested messages map's delivered_at bits)
+    /// dispatched event, so it must not scan the message records.
+    // detlint::allow(T003, derived mirror of the digested message records' delivered_at bits)
     delivered_messages: u64,
-    next_msg_id: u32,
     next_token: u64,
-    /// Packets posted but not yet handed to the NIC, by token, with their
-    /// destination host.
-    pending_submissions: FxHashMap<u64, (HostId, PacketDesc)>,
-    /// Packets a send or window pump released, until [`Cluster::release`]
-    /// schedules them (reused scratch).
+    /// Packets a send, window pump or go-back-N resend released, until
+    /// [`Cluster::release`] schedules them (reused scratch).
     // detlint::allow(T003, release scratch: drained to empty before the call returns)
     release_buf: Vec<QueuedPacket>,
     /// Reused scratch for [`Cluster::pump`] (indications drained per event).
@@ -366,8 +381,6 @@ pub struct Cluster {
     crashes: Vec<HostCrash>,
     connection_failures: Vec<(HostId, HostId)>,
     delivery_log: Vec<(HostId, HostId, u32)>,
-    // detlint::allow(T003, diagnostics counter: never read by a transition)
-    app_deliveries: u64,
     // detlint::allow(T003, diagnostics counter: never read by a transition)
     drops_observed: u64,
     // detlint::allow(T003, diagnostics counter: never read by a transition)
@@ -438,11 +451,9 @@ impl Cluster {
             nics,
             hosts,
             apps,
-            messages: FxHashMap::default(),
+            messages: Vec::new(),
             delivered_messages: 0,
-            next_msg_id: 0,
             next_token: 0,
-            pending_submissions: FxHashMap::default(),
             release_buf: Vec::new(),
             ind_buf: Vec::new(),
             out_buf: Vec::new(),
@@ -451,7 +462,6 @@ impl Cluster {
             crashes: p.faults.crashes,
             connection_failures: Vec::new(),
             delivery_log: Vec::new(),
-            app_deliveries: 0,
             drops_observed: 0,
             packets_abandoned: 0,
             crashes_injected: 0,
@@ -512,7 +522,7 @@ impl Cluster {
     /// Apply a delivery notice from the receiver's shard to the message
     /// record this (sender's) shard keeps.
     pub fn apply_delivery_notice(&mut self, n: DeliveryNotice) {
-        if let Some(rec) = self.messages.get_mut(&n.msg_id) {
+        if let Some(rec) = self.messages.get_mut(n.msg_id as usize) {
             debug_assert_eq!(rec.src, n.from, "notice names the record's sender");
             if rec.delivered_at.is_none() {
                 self.delivered_messages += 1;
@@ -650,7 +660,7 @@ impl Cluster {
             for (id, flow) in demoted {
                 let msg_id: u32 = narrow(id);
                 let remaining: u32 = narrow(flow.remaining);
-                if let Some(rec) = self.messages.get_mut(&msg_id) {
+                if let Some(rec) = self.messages.get_mut(msg_id as usize) {
                     rec.len = remaining;
                 }
                 let host = &mut self.hosts[flow.src.idx()];
@@ -664,8 +674,8 @@ impl Cluster {
         let pair_fifo = &mut fm.pair_fifo;
         fm.rounds.advance(now, q, |id, at, q| {
             let msg_id: u32 = narrow(id);
-            // detlint::allow(S001, every open flow has a message record)
-            let rec = self.messages.get(&msg_id).expect("flow message record");
+            // Every open flow has a message record under its id.
+            let rec = &self.messages[msg_id as usize];
             let key = (rec.src.0, rec.dst.0);
             let at = pair_fifo.get(&key).map_or(at, |&last| at.max(last));
             pair_fifo.insert(key, at);
@@ -747,22 +757,17 @@ impl Cluster {
             .into_iter()
             .map(|id| format!("packet {}: {}", id.0, self.net.locate_packet(id)))
             .collect();
-        let mut undelivered: Vec<(u32, &MsgRecord)> = self
-            .messages
-            .iter()
-            .filter(|(_, r)| r.delivered_at.is_none())
-            .map(|(&id, r)| (id, r))
-            .collect();
-        undelivered.sort_by_key(|&(id, _)| id);
-        out.extend(undelivered.into_iter().map(|(id, r)| {
-            format!(
-                "msg {id}: h{}->h{} {} B sent at {} ns, undelivered",
-                r.src.idx(),
-                r.dst.idx(),
-                r.len,
-                r.sent_at.as_ps() / 1_000
-            )
-        }));
+        for (id, r) in self.messages.iter().enumerate() {
+            if r.delivered_at.is_none() {
+                out.push(format!(
+                    "msg {id}: h{}->h{} {} B sent at {} ns, undelivered",
+                    r.src.idx(),
+                    r.dst.idx(),
+                    r.len,
+                    r.sent_at.as_ps() / 1_000
+                ));
+            }
+        }
         out
     }
 
@@ -843,8 +848,8 @@ impl Cluster {
         }
     }
 
-    /// Per-message records, keyed by message id.
-    pub fn messages(&self) -> &FxHashMap<u32, MsgRecord> {
+    /// Per-message records, indexed by message id.
+    pub fn messages(&self) -> &[MsgRecord] {
         &self.messages
     }
 
@@ -895,8 +900,8 @@ impl Cluster {
     /// evolve identically, so the checker's BFS can merge them.
     ///
     /// Deliberately excluded as pure diagnostics: stats counters
-    /// (`app_deliveries`, `drops_observed`, `packets_abandoned`,
-    /// `crashes_injected`, per-layer stat blocks), ping-pong RTT samples,
+    /// (`drops_observed`, `packets_abandoned`, `crashes_injected`,
+    /// per-layer stat blocks), ping-pong RTT samples,
     /// the timeline/health observers, and the apps' RNG streams (checker
     /// scenarios use only deterministic behaviors — Stream/Sink/Echo — whose
     /// evolution never draws from them). The `delivery_log` IS included: it
@@ -911,12 +916,9 @@ impl Cluster {
             host.state_digest(d);
         }
         App::digest_all(&self.apps, d);
-        let mut msg_ids: Vec<u32> = self.messages.keys().copied().collect();
-        msg_ids.sort_unstable();
-        d.usize(msg_ids.len());
-        for id in msg_ids {
-            let r = &self.messages[&id];
-            d.u32(id);
+        d.usize(self.messages.len());
+        for (id, r) in self.messages.iter().enumerate() {
+            d.u32(narrow(id));
             d.u16(r.src.0);
             d.u16(r.dst.0);
             d.u32(r.len);
@@ -929,21 +931,11 @@ impl Cluster {
                 None => d.bool(false),
             }
         }
-        d.u32(self.next_msg_id);
+        d.u32(narrow(self.messages.len()));
         d.u64(self.next_token);
-        let mut tokens: Vec<u64> = self.pending_submissions.keys().copied().collect();
-        tokens.sort_unstable();
-        d.usize(tokens.len());
-        for t in tokens {
-            let (_, desc) = &self.pending_submissions[&t];
-            d.u64(t);
-            let hdr = desc.header.as_bytes();
-            d.usize(hdr.len());
-            d.bytes(hdr);
-            d.u32(desc.payload_len);
-            d.u64(desc.tag);
-            d.u16(desc.src.0);
-        }
+        // Posted packets ride in their `SubmitPacket` events; the zero is
+        // the old pending-packet count, kept so end-of-run digests hold.
+        d.usize(0);
         d.usize(self.connection_failures.len());
         for &(a, b) in &self.connection_failures {
             d.u16(a.0);
@@ -1108,7 +1100,7 @@ impl Cluster {
         frame.counters.extend([
             retransmissions,
             duplicates,
-            self.app_deliveries,
+            self.delivery_log.len() as u64,
             self.drops_observed,
             self.connection_failures.len() as u64,
             self.packets_abandoned,
@@ -1159,18 +1151,14 @@ impl Cluster {
         now: SimTime,
         q: &mut EventQueue<ClusterEvent>,
     ) -> u32 {
-        let msg_id = self.next_msg_id;
-        self.next_msg_id += 1;
-        self.messages.insert(
-            msg_id,
-            MsgRecord {
-                src,
-                dst,
-                len,
-                sent_at: now,
-                delivered_at: None,
-            },
-        );
+        let msg_id = narrow(self.messages.len());
+        self.messages.push(MsgRecord {
+            src,
+            dst,
+            len,
+            sent_at: now,
+            delivered_at: None,
+        });
         // Hybrid engine: flow-eligible messages ride the flow model under
         // the same message id; everything else takes the packet path.
         if self.flow_eligible(src, dst) {
@@ -1187,11 +1175,14 @@ impl Cluster {
     }
 
     /// Hand the packets of the `(src, dst)` connection waiting in
-    /// `release_buf` to the NIC from `base` after `now` on, spaced by the
-    /// per-packet host cost, and keep the retransmission timer armed while
-    /// anything is outstanding. A release queues behind the connection's
-    /// earlier submissions that have not fired yet (see
-    /// [`ConnTx::submit_clock`](crate::host::ConnTx::submit_clock)).
+    /// `release_buf` to the NIC: schedule one `SubmitPacket` each, the
+    /// first `base` after `now`, the rest spaced by the per-packet posting
+    /// cost, and keep the retransmission timer armed while anything is
+    /// outstanding. Fresh sends, window refills and go-back-N resends all
+    /// come through here. A release queues behind the connection's earlier
+    /// submissions that have not fired yet (see
+    /// [`ConnTx::submit_clock`](crate::host::ConnTx::submit_clock)), so
+    /// packets reach the NIC in the order they were scheduled.
     fn release(
         &mut self,
         src: HostId,
@@ -1203,16 +1194,32 @@ impl Cluster {
         if self.release_buf.is_empty() {
             return;
         }
-        let mut released = std::mem::take(&mut self.release_buf);
-        let packets = released.drain(..).map(|p| (p.payload_len, p.tag));
-        self.schedule_submissions(src, dst, packets, now + base, q);
-        self.release_buf = released;
+        // Every release comes from an open connection.
+        let Some(conn) = self.hosts[src.idx()].conn_tx_mut(dst) else {
+            self.release_buf.clear();
+            return;
+        };
+        let step = self.gm.o_send_per_packet;
+        let earliest = now + base;
+        let mut at = conn
+            .submit_clock
+            .map_or(earliest, |last| earliest.max(last + step));
+        for p in self.release_buf.drain(..) {
+            let token = self.next_token;
+            self.next_token += 1;
+            let ev = HostEvent::SubmitPacket {
+                host: src,
+                peer: dst,
+                payload_len: p.payload_len,
+                token,
+                tag: p.tag,
+            };
+            q.schedule(at, ClusterEvent::Host(ev));
+            conn.submit_clock = Some(at);
+            at += step;
+        }
         // Arm the retransmission timer for this connection.
-        let reliability = self.gm.reliability;
-        if let Some(conn) = self.hosts[src.idx()]
-            .conn_tx_mut(dst)
-            .filter(|c| reliability && !c.timer_armed)
-        {
+        if self.gm.reliability && !conn.timer_armed {
             conn.timer_armed = true;
             q.schedule(
                 now + self.gm.retrans_timeout,
@@ -1224,57 +1231,25 @@ impl Cluster {
         }
     }
 
-    /// Schedule one `SubmitPacket` per `(payload_len, tag)` of the
-    /// `(src, dst)` connection, spaced by the per-packet posting cost. The
-    /// first starts at `earliest`, but no sooner than one posting cost
-    /// after the connection's last pending submission (its submit clock),
-    /// so fresh sends, window refills and go-back-N resends reach the NIC
-    /// in the order they were scheduled. Every release and resend comes
-    /// from an open connection.
-    fn schedule_submissions(
+    /// Hand `pkt` from `host` to `peer` to the host's NIC under `token`,
+    /// with the route table's header for the pair. DATA and ACK packets
+    /// both reach the NIC here.
+    fn submit(
         &mut self,
-        src: HostId,
-        dst: HostId,
-        packets: impl Iterator<Item = (u32, u64)>,
-        earliest: SimTime,
+        (host, peer): (HostId, HostId),
+        token: u64,
+        pkt: QueuedPacket,
+        now: SimTime,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        let host = &mut self.hosts[src.idx()];
-        let header = host.header_for(dst);
-        let Some(conn) = host.conn_tx_mut(dst) else {
-            return;
+        let desc = PacketDesc {
+            header: self.hosts[host.idx()].header_for(peer),
+            payload_len: pkt.payload_len + GM_PKT_OVERHEAD,
+            tag: pkt.tag,
+            src: host,
         };
-        let step = self.gm.o_send_per_packet;
-        let mut at = match conn.submit_clock {
-            Some(last) => earliest.max(last + step),
-            None => earliest,
-        };
-        let mut last = None;
-        for (payload_len, tag) in packets {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending_submissions.insert(
-                token,
-                (
-                    dst,
-                    PacketDesc {
-                        header: header.clone(),
-                        payload_len: payload_len + GM_PKT_OVERHEAD,
-                        tag,
-                        src,
-                    },
-                ),
-            );
-            q.schedule(
-                at,
-                ClusterEvent::Host(HostEvent::SubmitPacket { host: src, token }),
-            );
-            last = Some(at);
-            at += step;
-        }
-        if last.is_some() {
-            conn.submit_clock = last;
-        }
+        let (nic, net) = self.nic_mut(host);
+        nic.submit_send(token, desc, now, net, &mut Sink(q));
     }
 
     // ------------------------------------------------------------------
@@ -1402,29 +1377,30 @@ impl Cluster {
 
     fn on_host_event(&mut self, ev: HostEvent, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         match ev {
-            HostEvent::SubmitPacket { host, token } => {
-                if let Some((dst, desc)) = self.pending_submissions.remove(&token) {
-                    if let Some(conn) = self.hosts[host.idx()]
-                        .conn_tx_mut(dst)
-                        .filter(|c| c.submit_clock.is_some_and(|last| last <= now))
-                    {
-                        conn.submit_clock = None;
-                    }
-                    let (nic, net) = self.nic_mut(host);
-                    nic.submit_send(token, desc, now, net, &mut Sink(q));
+            HostEvent::SubmitPacket {
+                host,
+                peer,
+                payload_len,
+                token,
+                tag,
+            } => {
+                if let Some(conn) = self.hosts[host.idx()]
+                    .conn_tx_mut(peer)
+                    .filter(|c| c.submit_clock.is_some_and(|last| last <= now))
+                {
+                    conn.submit_clock = None;
                 }
+                let pkt = QueuedPacket { payload_len, tag };
+                self.submit((host, peer), token, pkt, now, q);
             }
             HostEvent::SendAck { host, to, seq } => {
                 let token = self.next_token;
                 self.next_token += 1;
-                let desc = PacketDesc {
-                    header: self.hosts[host.idx()].header_for(to),
-                    payload_len: GM_PKT_OVERHEAD,
+                let pkt = QueuedPacket {
+                    payload_len: 0,
                     tag: PacketMeta::ack(seq).encode(),
-                    src: host,
                 };
-                let (nic, net) = self.nic_mut(host);
-                nic.submit_send(token, desc, now, net, &mut Sink(q));
+                self.submit((host, to), token, pkt, now, q);
             }
             HostEvent::AppSend { host } => {
                 let step = self.apps[host.idx()].on_send(now);
@@ -1453,20 +1429,20 @@ impl Cluster {
                     }
                     _ => {
                         debug_assert!(
-                            (self.messages.get(&msg_id))
+                            (self.messages.get(msg_id as usize))
                                 .is_none_or(|r| r.dst == host && r.len == len),
                             "a message reaches its destination whole"
                         );
                         self.apply_delivery_notice(notice);
                     }
                 }
-                self.app_deliveries += 1;
                 self.delivery_log.push((from, host, msg_id));
                 let step = self.apps[host.idx()].on_deliver(from, len, now);
                 self.apply(host, step, now, q);
             }
             HostEvent::RetransCheck { host, peer } => {
-                match self.hosts[host.idx()].check_retransmissions(peer, now) {
+                let buf = &mut self.release_buf;
+                match self.hosts[host.idx()].check_retransmissions(peer, now, buf) {
                     RetransDecision::Failed { abandoned } => {
                         // Retry budget gone: surface the failure instead of
                         // resending forever. Nothing is left unacked, so the
@@ -1474,10 +1450,10 @@ impl Cluster {
                         self.connection_failures.push((host, peer));
                         self.packets_abandoned += abandoned as u64;
                     }
-                    RetransDecision::Resend(due) => {
-                        let packets = due.into_iter().map(|p| (p.payload_len, p.tag));
-                        let earliest = now + self.gm.o_send_per_packet;
-                        self.schedule_submissions(host, peer, packets, earliest, q);
+                    RetransDecision::Resend => {
+                        // A resend pays the per-packet posting cost, as a
+                        // window refill does. The timer is armed already.
+                        self.release(host, peer, now, self.gm.o_send_per_packet, q);
                     }
                     RetransDecision::Idle => {}
                 }
@@ -1549,7 +1525,7 @@ mod tests {
         // schedule/sift; keep it register-friendly. (NicEvent is bounded by
         // its own test; this pins the union's padding too.)
         assert!(
-            std::mem::size_of::<ClusterEvent>() <= 40,
+            std::mem::size_of::<ClusterEvent>() <= 32,
             "ClusterEvent grew to {} bytes — box the fat variant instead",
             std::mem::size_of::<ClusterEvent>()
         );

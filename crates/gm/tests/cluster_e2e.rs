@@ -161,7 +161,7 @@ fn multi_packet_message_reassembles() {
     c.start(&mut q);
     run_until(&mut c, &mut q, SimTime::from_ms(50));
     assert_eq!(c.delivered_count(), 3);
-    for rec in c.messages().values() {
+    for rec in c.messages() {
         assert_eq!(rec.len, 20_000);
         assert!(rec.delivered_at.is_some());
     }
@@ -232,7 +232,7 @@ fn poisson_traffic_on_irregular_network_delivers_exactly_once() {
     let delivered = c.delivered_count();
     assert_eq!(delivered, total, "every message delivered exactly once");
     // Latency sanity: all records have delivery after send.
-    for rec in c.messages().values() {
+    for rec in c.messages() {
         assert!(rec.delivered_at.unwrap() > rec.sent_at);
     }
 }
@@ -304,7 +304,8 @@ fn determinism_same_seed_same_results() {
         let mut v: Vec<_> = c
             .messages()
             .iter()
-            .map(|(&id, r)| (id, r.sent_at, r.delivered_at))
+            .enumerate()
+            .map(|(id, r)| (id, r.sent_at, r.delivered_at))
             .collect();
         v.sort();
         v
@@ -385,7 +386,7 @@ fn all_to_all_exchange_completes_exactly() {
     // Every ordered pair exchanged exactly one message.
     assert_eq!(c.messages().len(), n * (n - 1));
     assert_eq!(c.delivered_count(), n * (n - 1));
-    let mut pairs: Vec<(u16, u16)> = c.messages().values().map(|r| (r.src.0, r.dst.0)).collect();
+    let mut pairs: Vec<(u16, u16)> = c.messages().iter().map(|r| (r.src.0, r.dst.0)).collect();
     pairs.sort_unstable();
     pairs.dedup();
     assert_eq!(pairs.len(), n * (n - 1), "no duplicate pair traffic");

@@ -118,26 +118,20 @@ ITB_RESULTS_DIR="$work/dl_a" cargo run --release -q -p itb-bench --bin deadlock_
 ITB_RESULTS_DIR="$work/dl_b" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
 cmp "$work/dl_a/deadlock_audit.json" "$work/dl_b/deadlock_audit.json"
 
-echo "== route-dependent artifacts (fresh runs equal the committed files) =="
-# The audit above and the two route-set analyses below read every route of
-# their tables; a change to route computation, encoding or decoding that
-# moves one route shows up here as a diff against results/.
+echo "== route-dependent audit (fresh run equals the committed file) =="
+# The audit reads every route of its tables; a change to route
+# computation, encoding or decoding that moves one route shows up here as
+# a diff against results/.
 cmp "$work/dl_a/deadlock_audit.json" results/deadlock_audit.json
-ITB_RESULTS_DIR="$work/routes" cargo run --release -q -p itb-bench --bin motivation_balance > /dev/null
-ITB_RESULTS_DIR="$work/routes" cargo run --release -q -p itb-bench --bin ablation_root > /dev/null
-cmp "$work/routes/motivation_balance.json" results/motivation_balance.json
-cmp "$work/routes/ablation_root.json" results/ablation_root.json
 
-echo "== paper headline artifacts (fig7/fig8 equal the committed files) =="
-# The Figure 7 and Figure 8 ping-pong sweeps at their default 100
-# iterations, with their traces, metrics and latency attribution: every
-# output is sim-time data, so a fresh run must equal results/ byte for byte.
-ITB_RESULTS_DIR="$work/figs" cargo run --release -q -p itb-bench --bin fig7 > /dev/null
-ITB_RESULTS_DIR="$work/figs" cargo run --release -q -p itb-bench --bin fig8 > /dev/null
-for f in fig7.json fig7_trace.jsonl fig7_trace_chrome.json \
-  fig8.json fig8_attribution.json fig8_metrics.json fig8_trace.jsonl fig8_trace_chrome.json; do
-  cmp "$work/figs/$f" "results/$f"
-done
+echo "== experiment artifacts (every regenerated file equals results/) =="
+# scripts/regenerate.sh --check runs every experiment bin -- fig7/fig8 at
+# their default 100 iterations with traces, metrics and attribution, the
+# motivation, ablation, bandwidth, app-exchange and latency-breakdown
+# runs -- into a temp dir and cmps each file written with its committed
+# copy. All of it is sim-time data, so one moved event, route or float
+# sum fails here, and the committed results cannot go stale.
+scripts/regenerate.sh --check
 
 echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
 # The sharded conservative-PDES engine must reproduce the sequential event

@@ -1,10 +1,37 @@
 #!/usr/bin/env bash
 # Regenerate every figure, table and ablation reported in EXPERIMENTS.md.
 # Results land in results/*.json; the printed tables are the paper's rows.
+#
+# With --check, nothing under results/ is written: every bin writes into a
+# temp dir (through ITB_RESULTS_DIR) and each file it wrote is compared
+# byte for byte with its committed copy in results/. Exits non-zero when
+# any differs, naming it. Every artifact here is sim-time data, so a fresh
+# run must reproduce the committed files exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+check=0
+case "${1:-}" in
+    --check) check=1 ;;
+    "") ;;
+    *)
+        echo "usage: $0 [--check]" >&2
+        exit 2
+        ;;
+esac
+
+if [ "$check" = 1 ]; then
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' EXIT
+    export ITB_RESULTS_DIR="$out"
+fi
+
 run() {
+    if [ "$check" = 1 ]; then
+        echo "   $*"
+        cargo run --release -q -p itb-bench --bin "$@" > /dev/null
+        return
+    fi
     echo
     echo "======================================================================"
     echo "== $*"
@@ -27,5 +54,24 @@ run bandwidth                 # one-way bandwidth, both MCPs
 run app_exchange 16 1         # application phases (§6 future work)
 run latency_breakdown         # where the microseconds go
 
-echo
-echo "All experiment artifacts regenerated under results/."
+if [ "$check" = 0 ]; then
+    echo
+    echo "All experiment artifacts regenerated under results/."
+    exit 0
+fi
+
+stale=0
+count=0
+for f in "$out"/*; do
+    name=$(basename "$f")
+    count=$((count + 1))
+    if ! cmp -s "$f" "results/$name"; then
+        echo "stale: results/$name differs from a fresh run" >&2
+        stale=1
+    fi
+done
+if [ "$stale" = 1 ]; then
+    echo "regenerate with scripts/regenerate.sh and explain the moved numbers" >&2
+    exit 1
+fi
+echo "all $count regenerated artifacts equal results/"

@@ -142,7 +142,7 @@ fn go_back_n_resends_keep_connection_submission_order() {
     // tokens are drawn in scheduling order.
     let mut fired = Vec::new();
     while let Some((now, ev)) = q.pop() {
-        if let ClusterEvent::Host(HostEvent::SubmitPacket { host, token }) = ev {
+        if let ClusterEvent::Host(HostEvent::SubmitPacket { host, token, .. }) = ev {
             if host == src {
                 fired.push(token);
             }

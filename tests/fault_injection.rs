@@ -206,7 +206,7 @@ fn retransmission_preserves_payload_sizes() {
     c.start(&mut q);
     run_until(&mut c, &mut q, SimTime::from_ms(400));
     assert_eq!(c.delivered_count(), 8);
-    for rec in c.messages().values() {
+    for rec in c.messages() {
         assert_eq!(rec.len, 9000);
         assert!(rec.delivered_at.is_some());
     }

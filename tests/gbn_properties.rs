@@ -108,23 +108,17 @@ fn exchange(start_seq: u32, sizes: &[u32], schedule: Vec<u8>) -> (Vec<(u32, u32)
         rounds += 1;
         assert!(rounds < 2000, "exchange failed to converge");
 
+        // Window refills first, then any go-back-N resend, into the one
+        // buffer: the path the cluster hands both to the NIC through.
         sender.pump_window(RECEIVER, now, &mut released);
-        let mut outbound: Vec<Wire> = released
+        sender.check_retransmissions(RECEIVER, now, &mut released);
+        let outbound: Vec<Wire> = released
             .drain(..)
             .map(|p| Wire::Data {
                 payload_len: p.payload_len,
                 tag: p.tag,
             })
             .collect();
-        outbound.extend(
-            sender
-                .due_retransmissions(RECEIVER, now)
-                .into_iter()
-                .map(|p| Wire::Data {
-                    payload_len: p.payload_len,
-                    tag: p.tag,
-                }),
-        );
 
         let mut inbound = Vec::new();
         for item in adversary.transform(outbound) {

@@ -170,7 +170,7 @@ fn mixed_regions_preserve_delivery_set_and_pair_order() {
     );
     assert_eq!(snap_h.counters.get("gm.retransmissions"), Some(&0));
     // Every message record closed out in both runs.
-    for (id, rec) in hybrid.messages() {
+    for (id, rec) in hybrid.messages().iter().enumerate() {
         assert!(rec.delivered_at.is_some(), "message {id} delivered");
     }
 }

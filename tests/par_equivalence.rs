@@ -91,7 +91,7 @@ fn shard_views(seq: &SeqObservables, part: &Partition, worlds: &[ShardCluster]) 
 fn record_rows(cluster: &Cluster) -> Vec<Rec> {
     let mut rows: Vec<_> = cluster
         .messages()
-        .values()
+        .iter()
         .map(|r| {
             (
                 r.src.0,

@@ -168,7 +168,7 @@ proptest! {
         cluster.start(&mut q);
         run_until(&mut cluster, &mut q, SimTime::from_ms(60));
         prop_assert_eq!(cluster.messages().len(), n * 4);
-        for rec in cluster.messages().values() {
+        for rec in cluster.messages() {
             prop_assert!(rec.delivered_at.is_some(), "lost message {rec:?}");
             prop_assert!(rec.delivered_at.unwrap() > rec.sent_at);
             prop_assert_eq!(rec.len, 256);
