@@ -87,8 +87,9 @@ struct ProfileArtifact {
     records: Vec<WindowRecord>,
 }
 
-/// Worker threads requested via `ITB_THREADS` (same parsing discipline as
-/// the vendored rayon shim: trimmed integer, minimum 1, default 1).
+/// Worker threads requested via `ITB_THREADS`: a trimmed integer, minimum
+/// 1, default 1. The vendored rayon shim parses the variable the same way
+/// but only as a cap; unset, it uses `available_parallelism`.
 fn itb_threads() -> u32 {
     std::env::var("ITB_THREADS")
         .ok()

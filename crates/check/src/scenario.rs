@@ -117,38 +117,6 @@ impl Scenario {
         }
     }
 
-    /// The Figure 6 ITB path under **stock** GM flow control (backpressure
-    /// instead of the §4 flush-on-overflow pool): the configuration the
-    /// paper's flush policy exists to avoid. Used by the checker's own
-    /// validation tests — the explorer must be able to *find* a deadlock
-    /// when one is reachable — and not part of the shipped clean gate.
-    pub fn fig6_stock(messages: u32) -> Self {
-        let mut sc = Self::fig6_itb();
-        sc.name = "fig6_stock";
-        sc.spec = sc.spec.with_flush_on_overflow(false);
-        let h1 = sc
-            .behaviors
-            .iter()
-            .position(|b| matches!(b, AppBehavior::Stream { .. }))
-            // detlint::allow(S001, fig6 testbed always has host1 streaming)
-            .expect("fig6 scenario streams from host1");
-        if let AppBehavior::Stream { count, .. } = &mut sc.behaviors[h1] {
-            *count = messages;
-        }
-        sc
-    }
-
-    /// Look a scenario up by its stable name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "two_host" => Some(Self::two_host(2)),
-            "two_host_crash" => Some(Self::two_host_crash()),
-            "two_host_tiny_pool" => Some(Self::two_host_tiny_pool()),
-            "fig6_itb" => Some(Self::fig6_itb()),
-            _ => None,
-        }
-    }
-
     /// Number of hosts in the scenario's topology.
     pub fn num_hosts(&self) -> usize {
         self.spec.num_hosts()

@@ -576,8 +576,7 @@ pub fn summarize_window(
     let mut delivered = 0u64;
     let mut bytes = 0u64;
     let mut lat = Accum::new();
-    let mut p99 = itb_sim::stats::P2Quantile::new(0.99);
-    // Samples reach the streaming estimator in message-id order.
+    let mut lats = Vec::new();
     for rec in cluster.messages() {
         if rec.sent_at < w_start || rec.sent_at >= w_end {
             continue;
@@ -588,7 +587,7 @@ pub fn summarize_window(
             bytes += u64::from(rec.len);
             let us = (d - rec.sent_at).as_us_f64();
             lat.add(us);
-            p99.add(us);
+            lats.push(us);
         }
     }
     let secs = window.as_ps() as f64 / 1e12;
@@ -596,15 +595,38 @@ pub fn summarize_window(
         offered_mb_s,
         accepted_mb_s: bytes as f64 / 1e6 / secs,
         avg_latency_us: lat.mean(),
-        p99_latency_us: p99.estimate(),
+        p99_latency_us: nearest_rank_p99(&mut lats),
         sent,
         delivered,
     }
 }
 
+/// Exact nearest-rank p99 of `samples` (sorted in place): the element at
+/// 1-based rank ⌈0.99·n⌉, or NaN for no samples.
+fn nearest_rank_p99(samples: &mut [f64]) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    samples.sort_unstable_by(f64::total_cmp);
+    samples[(samples.len() * 99).div_ceil(100) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_p99_picks_the_ceil_rank() {
+        assert!(nearest_rank_p99(&mut []).is_nan());
+        assert_eq!(nearest_rank_p99(&mut [7.0]), 7.0);
+        // ⌈0.99·4⌉ = 4: the largest of four.
+        assert_eq!(nearest_rank_p99(&mut [3.0, 1.0, 4.0, 2.0]), 4.0);
+        let mut hundred: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(nearest_rank_p99(&mut hundred), 99.0);
+        let mut hundred_one: Vec<f64> = (1..=101).map(f64::from).collect();
+        hundred_one.swap(0, 100);
+        assert_eq!(nearest_rank_p99(&mut hundred_one), 100.0);
+    }
 
     #[test]
     fn ping_pong_reports_requested_sizes() {

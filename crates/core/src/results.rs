@@ -124,7 +124,7 @@ pub struct LoadPoint {
     pub accepted_mb_s: f64,
     /// Mean message latency among delivered messages, µs.
     pub avg_latency_us: f64,
-    /// 99th-percentile message latency (P² streaming estimate), µs.
+    /// 99th-percentile message latency (exact nearest rank), µs.
     pub p99_latency_us: f64,
     /// Messages sent during the measurement window.
     pub sent: u64,

@@ -84,12 +84,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Replace the calibration.
-    pub fn with_calibration(mut self, calib: Calibration) -> Self {
-        self.calib = calib;
-        self
-    }
-
     /// Install a hand-built route (overrides the mapper's table entry).
     pub fn with_route_override(mut self, route: SourceRoute) -> Self {
         self.overrides.push(route);
@@ -146,30 +140,6 @@ impl ClusterSpec {
     /// Number of hosts.
     pub fn num_hosts(&self) -> usize {
         self.topo.num_hosts()
-    }
-
-    /// Run this spec to `horizon` on up to `threads` shards (conservative
-    /// parallel discrete-event simulation, one OS thread per shard) and
-    /// return the aggregate report.
-    ///
-    /// The topology is partitioned deterministically from the traffic seed,
-    /// one replica is built per shard and each replica simulates only its
-    /// shard's hosts and switches; the aggregate event, delivery and
-    /// injection totals equal the sequential run of the same spec. Requires
-    /// a fault-free spec (no [`Self::with_faults`] /
-    /// [`Self::with_corruption_every`]).
-    pub fn run_parallel(
-        &self,
-        behaviors: Vec<AppBehavior>,
-        threads: u32,
-        horizon: itb_sim::SimTime,
-    ) -> itb_gm::ParRunReport {
-        let part = itb_topo::partition(&self.topo, threads as usize, self.seed);
-        let replicas: Vec<Cluster> = (0..part.shards)
-            .map(|_| self.build(behaviors.clone()))
-            .collect();
-        let (_worlds, report) = itb_gm::run_cluster_shards(replicas, &part, horizon);
-        report
     }
 
     /// Instantiate a cluster with the given per-host behaviours.

@@ -105,17 +105,9 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// Extern-crate name of a workspace crate directory (`sim` → `itb_sim`).
-pub fn extern_name(krate: &str) -> String {
-    if krate == "itb-myrinet" {
-        "itb_myrinet".to_string()
-    } else {
-        format!("itb_{}", krate.replace('-', "_"))
-    }
-}
-
-/// Inverse of [`extern_name`]: `itb_sim` → `sim`, if it names a workspace
-/// crate present in `known`.
+/// Workspace crate directory of an extern-crate name (`itb_sim` → `sim`,
+/// `itb_myrinet` → the root package `itb-myrinet`), if it names a
+/// workspace crate present in `known`.
 fn crate_of_extern(head: &str, known: &BTreeSet<String>) -> Option<String> {
     if head == "itb_myrinet" && known.contains("itb-myrinet") {
         return Some("itb-myrinet".to_string());

@@ -251,7 +251,7 @@ fn allow_with_unknown_rule_is_a_finding() {
 #[test]
 fn classifier_scopes_and_skips() {
     assert!(
-        classify("vendor/rand/src/lib.rs").is_none(),
+        classify("vendor/serde/src/lib.rs").is_none(),
         "vendor skipped"
     );
     assert!(

@@ -517,11 +517,6 @@ impl FlowNet {
         peak
     }
 
-    /// Capacity per directed channel (bytes/ns).
-    pub fn channel_capacity(&self) -> &[f64] {
-        &self.cap
-    }
-
     /// Highest post-solve utilisation (allocation/capacity) over the
     /// directed channels of the given link set, 0.0 when unloaded.
     pub fn peak_utilization(&self, links: impl Iterator<Item = u32>) -> f64 {

@@ -9,7 +9,7 @@ use crate::fault::FaultPlan;
 use crate::packet::{PacketDesc, PacketId, PacketState, TimelineEntry};
 use crate::slab::IdSlab;
 use crate::stats::NetStats;
-use itb_obs::{LinkLoad, PacketTracer, Stage};
+use itb_obs::{PacketTracer, Stage};
 use itb_sim::stats::Accum;
 use itb_sim::{narrow, FxHashMap, SimDuration, SimRng, SimTime};
 use itb_topo::{HostId, Node, Partition, PortIx, SwitchId, Topology};
@@ -103,7 +103,7 @@ impl NetEvent {
 }
 
 /// What the network tells the NIC layer. Drained with
-/// [`Network::take_indications`] after each handled event.
+/// [`Network::drain_indications_into`] after each handled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostIndication {
     /// First flit (≥ 4 bytes) of a packet reached the host — the trigger
@@ -778,15 +778,10 @@ impl Network {
         }
     }
 
-    /// Drain pending host indications (in emission order).
-    pub fn take_indications(&mut self) -> Vec<HostIndication> {
-        std::mem::take(&mut self.indications)
-    }
-
-    /// Drain pending host indications into `buf` (cleared first), keeping
-    /// `buf`'s capacity. The steady-state event loop calls this once per
-    /// event; swapping buffers instead of allocating keeps the loop
-    /// allocation-free.
+    /// Drain pending host indications, in emission order, into `buf`
+    /// (cleared first), keeping `buf`'s capacity. The steady-state event
+    /// loop calls this once per event; swapping buffers instead of
+    /// allocating keeps the loop allocation-free.
     pub fn drain_indications_into(&mut self, buf: &mut Vec<HostIndication>) {
         buf.clear();
         std::mem::swap(&mut self.indications, buf);
@@ -1456,14 +1451,8 @@ impl Network {
             .fold(SimDuration::ZERO, |acc, c| acc + c.paused_total)
     }
 
-    /// Bytes serialized per channel (diagnostic; index = channel).
-    pub fn channel_bytes(&self) -> Vec<u64> {
-        self.chans.iter().map(|c| c.bytes_sent).collect()
-    }
-
     /// Bytes carried per cable, both directions: `(link, a→b, b→a)`.
-    /// Channels are laid out pairwise per link, so this is a fold of
-    /// [`Network::channel_bytes`] keyed by the topology's links.
+    /// Channels are laid out pairwise per link (a→b, then b→a).
     pub fn link_bytes(&self) -> Vec<(itb_topo::LinkId, u64, u64)> {
         self.topo
             .link_ids()
@@ -1475,36 +1464,10 @@ impl Network {
             .collect()
     }
 
-    /// Per-link traffic and blocking, in the unified observability shape:
-    /// one [`LinkLoad`] per cable, named `"<a>-<b>"` with endpoints `h<n>`
-    /// (host) or `s<n>` (switch). Forward is the a→b direction.
-    pub fn link_load(&self) -> Vec<LinkLoad> {
-        fn name(n: Node) -> String {
-            match n {
-                Node::Host(h) => format!("h{}", h.idx()),
-                Node::Switch(s) => format!("s{}", s.idx()),
-            }
-        }
-        self.topo
-            .link_ids()
-            .map(|lid| {
-                let link = self.topo.link(lid);
-                let fwd = &self.chans[lid.idx() * 2];
-                let rev = &self.chans[lid.idx() * 2 + 1];
-                LinkLoad {
-                    link: format!("{}-{}", name(link.a.node), name(link.b.node)),
-                    fwd_bytes: fwd.bytes_sent,
-                    rev_bytes: rev.bytes_sent,
-                    fwd_blocked_ns: fwd.paused_total.as_ps() / 1_000,
-                    rev_blocked_ns: rev.paused_total.as_ps() / 1_000,
-                }
-            })
-            .collect()
-    }
-
-    /// The link names of [`Network::link_load`] alone, in the same order —
-    /// the schema half of the frame sampling path. Built once per run; the
-    /// per-sample values come from [`Network::fill_link_loads`].
+    /// Per-link names, `"<a>-<b>"` with endpoints `h<n>` (host) or `s<n>`
+    /// (switch), in link order — the schema half of the frame sampling
+    /// path. Built once per run; the per-sample values come from
+    /// [`Network::fill_link_loads`].
     pub fn link_names(&self) -> Vec<String> {
         fn name(n: Node) -> String {
             match n {
@@ -1521,8 +1484,8 @@ impl Network {
             .collect()
     }
 
-    /// Numeric half of [`Network::link_load`]: per link, `[fwd_bytes,
-    /// rev_bytes, fwd_blocked_ns, rev_blocked_ns]` in
+    /// Numeric half of the per-link load: per link, `[fwd_bytes,
+    /// rev_bytes, fwd_blocked_ns, rev_blocked_ns]` (forward is a→b) in
     /// [`Network::link_names`] order, appended to `out`. Allocation-free
     /// when `out` has capacity — this is the per-sample hot path.
     pub fn fill_link_loads(&self, out: &mut Vec<[u64; 4]>) {

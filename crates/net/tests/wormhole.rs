@@ -36,10 +36,12 @@ fn desc_for(route: &SourceRoute, payload: u32, tag: u64) -> PacketDesc {
 struct Deliveries {
     heads: Vec<(HostId, itb_net::PacketId, SimTime)>,
     completes: Vec<(HostId, itb_net::PacketId, u32, SimTime)>,
+    inds: Vec<itb_net::HostIndication>,
 }
 
 fn drain(net: &mut Network, now: SimTime, d: &mut Deliveries) {
-    for ind in net.take_indications() {
+    net.drain_indications_into(&mut d.inds);
+    for &ind in &d.inds {
         match ind {
             itb_net::HostIndication::HeadArrived { host, packet } => {
                 d.heads.push((host, packet, now))
@@ -381,9 +383,11 @@ fn injection_complete_indication_fires() {
     let id = net.inject(HostId(0), desc, w, SimTime::ZERO, &mut q);
     assert!(net.host_tx_busy(HostId(0)));
     let mut saw_injection_complete = false;
+    let mut inds = Vec::new();
     while let Some((t, ev)) = q.pop() {
         net.handle(t, ev, &mut q);
-        for ind in net.take_indications() {
+        net.drain_indications_into(&mut inds);
+        for &ind in &inds {
             if let itb_net::HostIndication::InjectionComplete { host, packet } = ind {
                 assert_eq!(host, HostId(0));
                 assert_eq!(packet, id);

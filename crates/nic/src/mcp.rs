@@ -155,11 +155,6 @@ impl Nic {
         self.host
     }
 
-    /// Firmware flavour.
-    pub fn flavor(&self) -> McpFlavor {
-        self.flavor
-    }
-
     /// Counters.
     pub fn stats(&self) -> &NicStats {
         &self.stats
@@ -239,21 +234,6 @@ impl Nic {
         d.usize(self.outputs.len());
     }
 
-    /// Debug: in-transit packets awaiting the send DMA.
-    pub fn pending_itb_len(&self) -> usize {
-        self.itb_pending.len()
-    }
-
-    /// Debug: queued/staging host sends.
-    pub fn send_queue_len(&self) -> usize {
-        self.send_queue.len()
-    }
-
-    /// Debug: free SRAM send buffers.
-    pub fn send_buffers_free(&self) -> u8 {
-        self.send_buffers_free
-    }
-
     /// Debug: (token, staging, staged, wire_len, desc_taken) per send job.
     pub fn send_queue_debug(&self) -> Vec<(u64, bool, u32, u32, bool)> {
         self.send_queue
@@ -262,19 +242,8 @@ impl Nic {
             .collect()
     }
 
-    /// Debug: receive-side state summary for a packet, if tracked.
-    pub fn recv_state_debug(&self, id: itb_net::PacketId) -> Option<String> {
-        self.recv.get(&id.0).map(|st| format!("{st:?}"))
-    }
-
-    /// Drain outputs for the GM layer.
-    pub fn take_outputs(&mut self) -> Vec<NicOutput> {
-        std::mem::take(&mut self.outputs)
-    }
-
-    /// Append pending outputs to `buf`, keeping this NIC's buffer capacity.
-    /// The cluster event loop prefers this over [`Nic::take_outputs`]: no
-    /// per-event allocation.
+    /// Drain outputs for the GM layer: append them to `buf`, keeping this
+    /// NIC's buffer capacity, so the event loop allocates nothing per event.
     pub fn drain_outputs_into(&mut self, buf: &mut Vec<NicOutput>) {
         buf.append(&mut self.outputs);
     }

@@ -53,22 +53,21 @@ impl World {
 
     fn drain_nic_outputs(&mut self, now: SimTime) {
         for nic in &mut self.nics {
-            for o in nic.take_outputs() {
-                self.outputs.push(o);
-                self.output_times.push(now);
-            }
+            nic.drain_outputs_into(&mut self.outputs);
         }
+        self.output_times.resize(self.outputs.len(), now);
     }
 
     fn pump_indications(&mut self, now: SimTime, q: &mut EventQueue<Ev>) {
         // Indications may cascade (a NIC action produces more indications),
         // so loop to a fixed point.
+        let mut inds = Vec::new();
         loop {
-            let inds = self.net.take_indications();
+            self.net.drain_indications_into(&mut inds);
             if inds.is_empty() {
                 break;
             }
-            for ind in inds {
+            for &ind in &inds {
                 let host = match ind {
                     itb_net::HostIndication::HeadArrived { host, .. }
                     | itb_net::HostIndication::BytesArrived { host, .. }

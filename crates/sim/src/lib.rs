@@ -18,8 +18,8 @@
 //!   maps (no SipHash cost, no per-process iteration-order randomness).
 //! * [`World`] / [`run_until`] — the minimal event-loop contract used by the
 //!   integrated cluster simulator in `itb-gm`.
-//! * [`stats`] — streaming accumulators, quantile estimators and (x, y)
-//!   series used by the experiment harness.
+//! * [`stats`] — streaming accumulators (with log-histogram quantiles) and
+//!   (x, y) series used by the experiment harness.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256**) so simulation
 //!   reproducibility does not depend on the `rand` crate's internals.
 

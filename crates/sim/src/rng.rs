@@ -3,10 +3,7 @@
 //! The simulator's reproducibility guarantee is "same seed, same run". We
 //! implement xoshiro256** directly (it is ~20 lines) instead of relying on
 //! `rand`'s `SmallRng`, whose algorithm is explicitly not stable across
-//! versions. `rand` distributions can still be layered on top through the
-//! [`rand::RngCore`] implementation.
-
-use rand::RngCore;
+//! versions.
 
 /// A seeded xoshiro256** generator.
 #[derive(Debug, Clone)]
@@ -116,26 +113,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        crate::narrow(self.next_u64_raw() >> 32)
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next_u64_raw()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,13 +187,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut r = SimRng::new(13);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -2,8 +2,6 @@
 
 use serde::Serialize;
 
-use crate::time::SimDuration;
-
 /// Number of log-histogram sub-buckets per octave (power of two). Four per
 /// octave gives bucket edges ~19% apart, i.e. quantiles good to ~±9%.
 const ACCUM_SUB_BUCKETS: usize = 4;
@@ -77,11 +75,6 @@ impl Accum {
             self.buckets = vec![0; ACCUM_BUCKETS];
         }
         self.buckets[Self::bucket_of(x)] += 1;
-    }
-
-    /// Record a duration sample in nanoseconds.
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_ns_f64());
     }
 
     /// Number of samples.
@@ -260,131 +253,6 @@ impl Series {
     }
 }
 
-/// Streaming quantile estimator — the P² (piecewise-parabolic) algorithm of
-/// Jain & Chlamtac. Tracks one quantile in O(1) memory without storing
-/// samples; used for tail latencies (p99) in the loaded-network sweeps.
-#[derive(Debug, Clone, Serialize)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: u64,
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q` in `(0, 1)`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Record a sample.
-    // count is capped at 5 before any cast to an index.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn add(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count as usize] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    // detlint::allow(S001, latency samples come from integer picoseconds and are never NaN)
-                    .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            }
-            return;
-        }
-        self.count += 1;
-        // Find the cell k containing x and adjust extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (1..=4)
-                .find(|&i| x < self.heights[i])
-                // detlint::allow(S001, binary search keeps x between the recorded extremes)
-                .expect("x within extremes")
-                - 1
-        };
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-        // Adjust interior markers with the parabolic formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let h = self.parabolic(i, d);
-                let h = if self.heights[i - 1] < h && h < self.heights[i + 1] {
-                    h
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (hm, h, hp) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (pm, p, pp) = (
-            self.positions[i - 1],
-            self.positions[i],
-            self.positions[i + 1],
-        );
-        h + d / (pp - pm)
-            * ((p - pm + d) * (hp - h) / (pp - p) + (pp - p - d) * (h - hm) / (p - pm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate (exact for < 5 samples; NaN if empty).
-    // n < 5 in the small-sample arm, so every cast is a tiny index.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn estimate(&self) -> f64 {
-        match self.count {
-            0 => f64::NAN,
-            n if n < 5 => {
-                let mut v: Vec<f64> = self.heights[..n as usize].to_vec();
-                // detlint::allow(S001, latency samples come from integer picoseconds and are never NaN)
-                v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let ix = ((self.q * n as f64).ceil() as usize).clamp(1, n as usize) - 1;
-                v[ix]
-            }
-            _ => self.heights[2],
-        }
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,57 +386,5 @@ mod tests {
         assert!(d.points.iter().all(|&(_, y)| (y - 1.0).abs() < 1e-12));
         assert!((d.mean_y() - 1.0).abs() < 1e-12);
         assert!((a.max_y() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p2_exact_below_five_samples() {
-        let mut q = P2Quantile::new(0.5);
-        assert!(q.estimate().is_nan());
-        q.add(10.0);
-        assert_eq!(q.estimate(), 10.0);
-        q.add(2.0);
-        q.add(7.0);
-        // Median of {2, 7, 10} = 7.
-        assert_eq!(q.estimate(), 7.0);
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    fn p2_median_of_uniform_stream() {
-        let mut q = P2Quantile::new(0.5);
-        // Deterministic pseudo-uniform stream over (0, 100).
-        let mut x = 37.0;
-        for _ in 0..50_000 {
-            x = (x * 7.13 + 11.7) % 100.0;
-            q.add(x);
-        }
-        let est = q.estimate();
-        assert!((est - 50.0).abs() < 3.0, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_p99_of_skewed_stream() {
-        let mut q = P2Quantile::new(0.99);
-        // 99% small values, 1% = 1000.
-        for i in 0..100_000u32 {
-            if i % 100 == 0 {
-                q.add(1000.0);
-            } else {
-                q.add((i % 97) as f64 / 10.0);
-            }
-        }
-        let est = q.estimate();
-        assert!(est > 9.0, "p99 must sit near the tail boundary: {est}");
-        assert!(est <= 1000.0);
-    }
-
-    #[test]
-    fn p2_monotone_under_sorted_input() {
-        let mut q = P2Quantile::new(0.9);
-        for i in 0..10_000 {
-            q.add(f64::from(i));
-        }
-        let est = q.estimate();
-        assert!((est - 9000.0).abs() < 250.0, "p90 of 0..10000: {est}");
     }
 }

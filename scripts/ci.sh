@@ -5,6 +5,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== dead dependencies (every manifest dependency is named in its sources) =="
+# Each key under [dependencies] and [dev-dependencies] of the root manifest
+# and of every crates/*/Cargo.toml must appear as a word (`-` read as `_`)
+# in that package's .rs files; an edge no source names is dead weight.
+dead=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  if [ "$manifest" = Cargo.toml ]; then srcs="src tests examples"; else srcs=$(dirname "$manifest"); fi
+  for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                   on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    if ! grep -rqw --include='*.rs' -e "${dep//-/_}" $srcs; then
+      echo "dead dependency: $manifest: $dep" >&2
+      dead=1
+    fi
+  done
+done
+[ "$dead" = 0 ] || exit 1
+
 echo "== cargo build --release =="
 cargo build --release
 
