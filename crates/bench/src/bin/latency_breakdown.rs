@@ -1,23 +1,19 @@
 //! Diagnostic: where does a message's latency go? Decomposes one-way
 //! latency on the Figure 6 testbed into pipeline stages using the
-//! simulator's per-packet timelines — the map from the calibrated constants
+//! packet-lifecycle tracer — the map from the calibrated constants
 //! (DESIGN.md §5) to the curves of Figures 7 and 8.
 //!
 //! `cargo run --release -p itb-bench --bin latency_breakdown [size]`
 
 use itb_core::experiments::{latency_breakdown, traced_one_way};
-use itb_core::{ClusterSpec, McpFlavor};
 
 fn main() {
     let sizes: Vec<u32> = match std::env::args().nth(1).and_then(|s| s.parse().ok()) {
         Some(one) => vec![one],
         None => vec![32, 1024, 4096],
     };
-    let spec = ClusterSpec::fig6_testbed().with_mcp(McpFlavor::Itb);
-    let tb = spec.testbed.clone().expect("testbed");
-
     for &size in &sizes {
-        let stages = latency_breakdown(&spec, tb.host1, tb.host2, size);
+        let stages = latency_breakdown(size);
         let total: f64 = stages.iter().map(|s| s.ns).sum();
         println!(
             "# One-way latency breakdown, {size} B message (total {:.2} us)",

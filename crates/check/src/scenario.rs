@@ -17,6 +17,7 @@ use itb_nic::McpFlavor;
 use itb_routing::figures;
 use itb_sim::{Digest, EventQueue, World};
 use itb_topo::{HostId, LinkId};
+use std::hash::Hash;
 
 /// Message payload used by all scenarios: single-packet (well under the
 /// MTU), so one message is one data packet plus one ACK.
@@ -166,7 +167,7 @@ impl CheckState {
                 }
                 None => false,
             },
-            Action::Drop { packet } => self.cluster.net.force_corrupt(PacketId(packet), now),
+            Action::Drop { packet } => self.cluster.net.force_corrupt(PacketId(packet)),
             Action::LinkDown { link } => {
                 let id = LinkId(link);
                 if self.cluster.net.link_forced_down(id) {
@@ -259,7 +260,7 @@ impl CheckState {
         for (t, rt, ev) in self.queue.iter_ordered() {
             d.u64(t.as_ps());
             d.u64(rt.as_ps());
-            ev.digest_into(&mut d);
+            ev.hash(&mut d);
         }
         d.finish()
     }

@@ -187,66 +187,39 @@ pub struct BreakdownStage {
     pub ns: f64,
 }
 
-/// Decompose one message's end-to-end latency into stages using the
-/// network's per-packet timeline instrumentation: host send processing,
-/// SDMA staging + send programming, wire time to the head, streaming to the
+/// Decompose one `size`-byte message's one-way latency on the testbed's
+/// plain up\*/down\* route into stages, read off the payload packet's
+/// lifecycle trace ([`traced_one_way`]): host send processing, SDMA
+/// staging + send programming, wire time to the head, streaming to the
 /// tail, receive completion + RDMA, and host delivery processing.
-pub fn latency_breakdown(
-    spec: &ClusterSpec,
-    src: HostId,
-    dst: HostId,
-    size: u32,
-) -> Vec<BreakdownStage> {
-    let mut spec = spec.clone();
-    spec.calib.net.record_timelines = true;
-    let n = spec.num_hosts();
-    let mut behaviors = vec![AppBehavior::Sink; n];
-    behaviors[src.idx()] = AppBehavior::Stream {
-        dst,
-        size,
-        count: 1,
-    };
-    let mut cluster = spec.build(behaviors);
-    let mut q = EventQueue::new();
-    cluster.start(&mut q);
-    run_while(&mut cluster, &mut q, |c| c.delivered_count() < 1);
-    // The run injects exactly one message, id 0.
-    let rec = cluster.messages()[0];
-    let timelines = cluster.net.take_retired_timelines();
-    // Find the data packet's timeline: it has a "head" entry at dst (ACKs
-    // flow the other way).
-    let dst_ix = u32::from(dst.0);
-    let tl = timelines
-        .iter()
-        .map(|(_, tl)| tl)
-        .find(|tl| tl.iter().any(|e| e.tag == "head" && e.value == dst_ix))
-        // detlint::allow(S001, tracing is enabled for this run so the timeline exists)
-        .expect("data packet timeline recorded");
-    let find = |tag: &str| {
-        tl.iter()
-            .find(|e| e.tag == tag)
-            // detlint::allow(S001, the fixed testbed path records every lifecycle tag)
-            .unwrap_or_else(|| panic!("timeline entry {tag} missing: {tl:?}"))
+pub fn latency_breakdown(size: u32) -> Vec<BreakdownStage> {
+    use itb_obs::Stage;
+    let run = traced_one_way(size, false);
+    let events = run.tracer.for_packet(run.packet);
+    let at = |stage: Stage| {
+        events
+            .iter()
+            .find(|e| e.stage == stage)
+            // detlint::allow(S001, the fixed testbed path records every lifecycle stage)
+            .unwrap_or_else(|| panic!("stage {stage:?} missing: {events:?}"))
             .t
     };
-    let inject = find("inject");
-    let head = find("head");
-    let tail = find("tail");
-    let recv_finish = find("nic.recv_finish");
-    let deliver = find("nic.deliver");
-    // detlint::allow(S001, the run completes only after delivery)
-    let delivered = rec.delivered_at.expect("delivered");
+    let inject = at(Stage::NetInject);
+    let head = at(Stage::NetHead);
+    let tail = at(Stage::NetTail);
+    let recv_finish = at(Stage::McpRecvFinish);
+    let deliver = at(Stage::NicDeliver);
     let stages = [
         (
             "host send + SDMA staging + send program",
-            rec.sent_at,
+            run.sent_at,
             inject,
         ),
         ("wire: inject to head at destination", inject, head),
         ("wire: head to tail (streaming)", head, tail),
         ("recv finish (CPU)", tail, recv_finish),
         ("RDMA to host memory", recv_finish, deliver),
-        ("host delivery processing", deliver, delivered),
+        ("host delivery processing", deliver, run.delivered_at),
     ];
     stages
         .iter()
@@ -267,6 +240,10 @@ pub struct TracedRun {
     pub packet: u64,
     /// Closing metrics snapshot of the run's cluster.
     pub snapshot: itb_obs::Snapshot,
+    /// When the application sent the message.
+    pub sent_at: SimTime,
+    /// When the message reached the receiving application.
+    pub delivered_at: SimTime,
 }
 
 impl TracedRun {
@@ -310,6 +287,8 @@ pub fn traced_one_way(size: u32, via_itb: bool) -> TracedRun {
     cluster.start(&mut q);
     run_while(&mut cluster, &mut q, |c| c.delivered_count() < 1);
     let snapshot = cluster.metrics_snapshot(q.now());
+    // The run sends exactly one message, id 0.
+    let msg = cluster.messages()[0];
     let tracer = std::mem::take(cluster.net.tracer_mut());
     // The payload packet is the one that went host-to-host; protocol
     // packets never reach `host.deliver`.
@@ -336,6 +315,9 @@ pub fn traced_one_way(size: u32, via_itb: bool) -> TracedRun {
         tracer,
         packet,
         snapshot,
+        sent_at: msg.sent_at,
+        // detlint::allow(S001, the run stops only after the delivery)
+        delivered_at: msg.delivered_at.expect("delivered"),
     }
 }
 
@@ -682,9 +664,7 @@ mod tests {
 
     #[test]
     fn breakdown_stages_sum_to_total() {
-        let spec = ClusterSpec::fig6_testbed().with_mcp(McpFlavor::Itb);
-        let tb = spec.testbed.clone().unwrap();
-        let stages = latency_breakdown(&spec, tb.host1, tb.host2, 1024);
+        let stages = latency_breakdown(1024);
         assert_eq!(stages.len(), 6);
         for s in &stages {
             assert!(s.ns >= 0.0, "stage {} negative", s.stage);

@@ -117,14 +117,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Fault injection: corrupt the CRC of every `n`th injected packet.
-    /// Receivers drop damaged packets at the tail check; GM retransmission
-    /// recovers them.
-    pub fn with_corruption_every(mut self, n: u64) -> Self {
-        self.calib.net.corrupt_every = Some(n);
-        self
-    }
-
     /// Install a fault-injection plan (probabilistic link faults, link-down
     /// windows, NIC crashes). See [`itb_net::FaultPlan`].
     pub fn with_faults(mut self, plan: itb_net::FaultPlan) -> Self {

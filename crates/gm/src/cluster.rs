@@ -18,7 +18,7 @@ use std::sync::Arc;
 pub const GM_PKT_OVERHEAD: u32 = 8;
 
 /// Host-layer events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostEvent {
     /// Application generates its next message (ping-pong next iteration,
     /// stream next message, Poisson arrival).
@@ -81,65 +81,10 @@ pub enum HostEvent {
     },
 }
 
-impl HostEvent {
-    /// Fold this event (variant tag + payload) into a model-checker digest.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match *self {
-            HostEvent::AppSend { host } => {
-                d.u8(0);
-                d.u16(host.0);
-            }
-            HostEvent::SubmitPacket {
-                host,
-                peer,
-                payload_len,
-                token,
-                tag,
-            } => {
-                d.u8(1);
-                d.u16(host.0);
-                d.u16(peer.0);
-                d.u32(payload_len);
-                d.u64(token);
-                d.u64(tag);
-            }
-            HostEvent::AppDeliver {
-                host,
-                from,
-                len,
-                msg_id,
-            } => {
-                d.u8(2);
-                d.u16(host.0);
-                d.u16(from.0);
-                d.u32(len);
-                d.u32(msg_id);
-            }
-            HostEvent::SendAck { host, to, seq } => {
-                d.u8(3);
-                d.u16(host.0);
-                d.u16(to.0);
-                d.u32(seq);
-            }
-            HostEvent::RetransCheck { host, peer } => {
-                d.u8(4);
-                d.u16(host.0);
-                d.u16(peer.0);
-            }
-            HostEvent::NicCrash { host } => {
-                d.u8(5);
-                d.u16(host.0);
-            }
-            HostEvent::NicRecover { host } => {
-                d.u8(6);
-                d.u16(host.0);
-            }
-        }
-    }
-}
-
-/// The union event type of the whole simulation.
-#[derive(Debug, Clone, Copy)]
+/// The union event type of the whole simulation. Its derived `Hash`, fed
+/// into an [`itb_sim::Digest`], is the event's identity in the model
+/// checker's queue digest.
+#[derive(Debug, Clone, Copy, Hash)]
 pub enum ClusterEvent {
     /// Network-layer event.
     Net(NetEvent),
@@ -159,30 +104,6 @@ pub enum ClusterEvent {
     /// flight (see [`Cluster::enable_flow_regions`]); coexists with flit
     /// events in the same deterministic queue.
     FlowRound,
-}
-
-impl ClusterEvent {
-    /// Fold this event (variant tag + the layer event's own digest) into a
-    /// model-checker digest. Together with [`Cluster::state_digest`] and the
-    /// queue's ordered iteration this canonicalizes a whole world state.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match self {
-            ClusterEvent::Net(e) => {
-                d.u8(0);
-                e.digest_into(d);
-            }
-            ClusterEvent::Nic(e) => {
-                d.u8(1);
-                e.digest_into(d);
-            }
-            ClusterEvent::Host(e) => {
-                d.u8(2);
-                e.digest_into(d);
-            }
-            ClusterEvent::Sample => d.u8(3),
-            ClusterEvent::FlowRound => d.u8(4),
-        }
-    }
 }
 
 /// Contention depth at which a Flow region escalates to packet fidelity:

@@ -77,7 +77,6 @@ impl Workspace {
             files_scanned: self.files.len(),
             findings,
             stats,
-            wall_ms: 0,
         };
         report
             .findings

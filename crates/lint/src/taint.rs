@@ -14,10 +14,11 @@
 //! * **T002 — unordered iteration feeding an ordered sink.** A `for` loop
 //!   directly over an `FxHashMap`/`FxHashSet` (fixed seed, but *insertion-
 //!   order dependent* iteration) whose body schedules events, feeds a
-//!   `Digest`, or writes an exported artifact is flagged: the hazard
-//!   class behind the PR 5 cross-shard-tie contract. Iterating a sorted
-//!   copy (collect + sort first) is the sanctioned shape and does not
-//!   match.
+//!   `Digest` (a `state_digest`/`digest_into` call, a method on a `Digest`
+//!   binding, or a `hash(..)` call taking one), or writes an exported
+//!   artifact is flagged: the hazard class behind the PR 5
+//!   cross-shard-tie contract. Iterating a sorted copy (collect + sort
+//!   first) is the sanctioned shape and does not match.
 //! * **T003 — digest completeness.** Every struct with a `state_digest`
 //!   hook must either fold each field into the digest (directly or through
 //!   helper methods on the same type) or carry an explicit
@@ -405,6 +406,11 @@ fn sink_in(body: &[Token], digest_idents: &BTreeSet<String>) -> Option<String> {
             if t.text == "state_digest" || t.text == "digest_into" {
                 return Some(format!("feeds a Digest (`{}`)", t.text));
             }
+            // `ev.hash(&mut d)` / `Hash::hash(job, d)`: a derived or manual
+            // `Hash` folding into a known Digest binding.
+            if t.text == "hash" && hash_args_name_a_digest(&body[j + 1..], digest_idents) {
+                return Some("feeds a Digest (`hash`)".to_string());
+            }
             if EXPORT_SINKS.contains(&t.text.as_str()) {
                 return Some(format!("writes an exported artifact (`{}`)", t.text));
             }
@@ -419,6 +425,26 @@ fn sink_in(body: &[Token], digest_idents: &BTreeSet<String>) -> Option<String> {
         }
     }
     None
+}
+
+/// Whether the parenthesized argument list at the front of `toks` names a
+/// Digest binding.
+fn hash_args_name_a_digest(toks: &[Token], digest_idents: &BTreeSet<String>) -> bool {
+    let mut depth = 0i32;
+    for t in toks {
+        match &t.kind {
+            TokKind::Punct('(') => depth += 1,
+            TokKind::Punct(')') => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            TokKind::Ident if digest_idents.contains(&t.text) => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 // ---- T003 ----------------------------------------------------------------

@@ -61,14 +61,8 @@ pub struct NetConfig {
     pub slack_capacity: u32,
     /// Switch head fall-through latencies.
     pub fall_through: FallThrough,
-    /// Fault injection: corrupt the CRC of every Nth injected packet
-    /// (`None` = clean fabric). Deterministic, so failure tests reproduce.
-    pub corrupt_every: Option<u64>,
     /// Output-port arbitration discipline.
     pub arbitration: Arbitration,
-    /// Record per-packet timelines (inject / route / head / tail moments)
-    /// for latency-breakdown experiments. Off by default: it allocates.
-    pub record_timelines: bool,
 }
 
 impl Default for NetConfig {
@@ -85,9 +79,7 @@ impl Default for NetConfig {
                 san_san: SimDuration::from_ns(100),
                 lan_penalty: SimDuration::from_ns(150),
             },
-            corrupt_every: None,
             arbitration: Arbitration::Fifo,
-            record_timelines: false,
         }
     }
 }

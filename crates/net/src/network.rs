@@ -6,7 +6,7 @@
 
 use crate::config::{Arbitration, NetConfig};
 use crate::fault::FaultPlan;
-use crate::packet::{PacketDesc, PacketId, PacketState, TimelineEntry};
+use crate::packet::{PacketDesc, PacketId, PacketState};
 use crate::slab::IdSlab;
 use crate::stats::NetStats;
 use itb_obs::{PacketTracer, Stage};
@@ -29,7 +29,7 @@ impl NetSched for itb_sim::EventQueue<NetEvent> {
 }
 
 /// Network-internal events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetEvent {
     /// A channel finished serializing one flit.
     TxDone {
@@ -64,42 +64,6 @@ pub enum NetEvent {
         /// STOP when true, GO when false.
         stop: bool,
     },
-}
-
-impl NetEvent {
-    /// Fold this event (variant tag + payload) into a model-checker digest.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match *self {
-            NetEvent::TxDone { ch } => {
-                d.u8(0);
-                d.u32(ch);
-            }
-            NetEvent::RxFlit {
-                ch,
-                packet,
-                bytes,
-                head,
-                tail,
-            } => {
-                d.u8(1);
-                d.u32(ch);
-                d.u64(packet.0);
-                d.u32(bytes);
-                d.bool(head);
-                d.bool(tail);
-            }
-            NetEvent::RouteReady { sw, port } => {
-                d.u8(2);
-                d.u16(sw.0);
-                d.u8(port.0);
-            }
-            NetEvent::Ctrl { ch, stop } => {
-                d.u8(3);
-                d.u32(ch);
-                d.bool(stop);
-            }
-        }
-    }
 }
 
 /// What the network tells the NIC layer. Drained with
@@ -327,9 +291,6 @@ pub struct Network {
     packets: IdSlab<PacketState>,
     next_packet: u64,
     indications: Vec<HostIndication>,
-    /// Timelines of retired packets (kept only when timelines are on).
-    // detlint::allow(T003, observability sidecar: retired-packet timelines are exported, never read by a transition)
-    retired_timelines: Vec<(PacketId, Vec<TimelineEntry>)>,
     // detlint::allow(T003, diagnostics counters: never read by a transition)
     stats: NetStats,
     /// Shared packet-lifecycle tracer: the network owns it because every
@@ -446,7 +407,6 @@ impl Network {
             packets: IdSlab::default(),
             next_packet: 0,
             indications: Vec::new(),
-            retired_timelines: Vec::new(),
             stats: NetStats::default(),
             tracer: PacketTracer::default(),
             blocking: Accum::new(),
@@ -463,10 +423,9 @@ impl Network {
     /// [`Network::adopt_handoff`]).
     ///
     /// Must be called on a freshly built network, before any injection, and
-    /// only for configurations whose event flow is shard-independent:
-    /// faults, forced corruption and per-packet timelines key off global
-    /// packet-id arithmetic or global RNG draws and would diverge from the
-    /// sequential run under strided ids.
+    /// only for configurations whose event flow is shard-independent: a
+    /// fault plan draws from one global RNG, and the lifecycle tracer keeps
+    /// one global record, so neither would match the sequential run.
     ///
     /// # Panics
     /// Panics on any violated precondition.
@@ -479,14 +438,6 @@ impl Network {
         assert!(
             self.faults.is_none(),
             "parallel mode requires a no-fault plan"
-        );
-        assert!(
-            self.cfg.corrupt_every.is_none(),
-            "parallel mode forbids corrupt_every (global packet-id arithmetic)"
-        );
-        assert!(
-            !self.cfg.record_timelines,
-            "parallel mode forbids per-packet timelines"
         );
         assert!(
             !self.tracer.is_enabled(),
@@ -661,12 +612,11 @@ impl Network {
     /// same downstream path every probabilistic fault takes. Returns whether
     /// the packet existed and was not already corrupted (counted under
     /// `NetStats::forced_corrupts`).
-    pub fn force_corrupt(&mut self, id: PacketId, now: SimTime) -> bool {
+    pub fn force_corrupt(&mut self, id: PacketId) -> bool {
         match self.pkt_get_mut(id.0) {
             Some(pkt) if !pkt.corrupted => {
                 pkt.corrupted = true;
                 self.stats.forced_corrupts += 1;
-                self.note(id, "fault.forced", 0, now);
                 true
             }
             _ => false,
@@ -677,7 +627,7 @@ impl Network {
     /// put onto channel `ch` (the sender-side garbling point). A hit marks
     /// the packet corrupted: it still occupies the wire to its destination,
     /// where the CRC tail check discards it.
-    fn roll_link_faults(&mut self, ch: u32, id: PacketId, now: SimTime) {
+    fn roll_link_faults(&mut self, ch: u32, id: PacketId) {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
@@ -694,12 +644,10 @@ impl Network {
             if !pkt.corrupted {
                 pkt.corrupted = true;
                 self.stats.fault_drops += 1;
-                self.note(id, "fault.drop", ch, now);
             }
         } else if roll < drop_p + corrupt_p && !pkt.corrupted {
             pkt.corrupted = true;
             self.stats.fault_corrupts += 1;
-            self.note(id, "fault.corrupt", ch, now);
         }
     }
 
@@ -722,7 +670,6 @@ impl Network {
         if !pkt.corrupted {
             pkt.corrupted = true;
             self.stats.link_down_drops += 1;
-            self.note(id, "fault.link_down", ch, now);
         }
     }
 
@@ -766,18 +713,6 @@ impl Network {
         &self.blocking
     }
 
-    /// Append a timeline entry for `id` (no-op unless
-    /// `NetConfig::record_timelines` is set). Public so the NIC layer can
-    /// record firmware moments into the same per-packet timeline.
-    pub fn note(&mut self, id: PacketId, tag: &'static str, value: u32, t: SimTime) {
-        if !self.cfg.record_timelines {
-            return;
-        }
-        if let Some(p) = self.pkt_get_mut(id.0) {
-            p.timeline.push(TimelineEntry { tag, value, t });
-        }
-    }
-
     /// Drain pending host indications, in emission order, into `buf`
     /// (cleared first), keeping `buf`'s capacity. The steady-state event
     /// loop calls this once per event; swapping buffers instead of
@@ -815,7 +750,6 @@ impl Network {
     pub fn strip_itb_group(&mut self, id: PacketId) -> u8 {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
         let p = self.pkt_get_mut(id.0).expect("packet exists");
-        p.itb_hops += 1;
         p.desc.header.strip_itb_group()
     }
 
@@ -823,17 +757,7 @@ impl Network {
     /// final state (header should start with the GM type).
     pub fn retire(&mut self, id: PacketId) -> PacketState {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let st = self.pkt_remove(id.0).expect("packet exists");
-        if self.cfg.record_timelines {
-            self.retired_timelines.push((id, st.timeline.clone()));
-        }
-        st
-    }
-
-    /// Drain the timelines of retired packets (empty unless
-    /// `NetConfig::record_timelines` is on).
-    pub fn take_retired_timelines(&mut self) -> Vec<(PacketId, Vec<TimelineEntry>)> {
-        std::mem::take(&mut self.retired_timelines)
+        self.pkt_remove(id.0).expect("packet exists")
     }
 
     /// Whether the host's send serializer has work queued or in progress.
@@ -923,22 +847,13 @@ impl Network {
         now: SimTime,
         sched: &mut impl NetSched,
     ) {
-        let corrupted = self
-            .cfg
-            .corrupt_every
-            .is_some_and(|n| (id.0 + 1).is_multiple_of(n));
         let st = PacketState {
             desc,
-            injected_at: now,
-            route_bytes_consumed: 0,
-            itb_hops: 0,
-            corrupted,
-            timeline: Vec::new(),
+            corrupted: false,
         };
         let total = st.wire_len();
         self.packets.insert(self.own_slab_key(id.0), st);
         self.stats.injected += 1;
-        self.note(id, "inject", u32::from(host.0), now);
         self.trace(id, Stage::NetInject, u32::from(host.0), now);
         let hp = &mut self.hosts[host.idx()];
         hp.tx_queue.push_back(HostTxPkt {
@@ -965,7 +880,6 @@ impl Network {
     ) {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
         let total = self.pkt_get(id.0).expect("packet exists").wire_len();
-        self.note(id, "reinject", u32::from(host.0), now);
         self.trace(id, Stage::NetReinject, u32::from(host.0), now);
         let hp = &mut self.hosts[host.idx()];
         hp.tx_queue.push_back(HostTxPkt {
@@ -1097,7 +1011,7 @@ impl Network {
             return;
         };
         if head {
-            self.roll_link_faults(ch, id, now);
+            self.roll_link_faults(ch, id);
         }
         let c = &mut self.chans[ch as usize];
         c.tx_busy = true;
@@ -1311,7 +1225,6 @@ impl Network {
                 if head {
                     self.indications
                         .push(HostIndication::HeadArrived { host: h, packet });
-                    self.note(packet, "head", u32::from(h.0), now);
                     self.trace(packet, Stage::NetHead, u32::from(h.0), now);
                 }
                 self.indications.push(HostIndication::BytesArrived {
@@ -1327,7 +1240,6 @@ impl Network {
                         packet,
                         received,
                     });
-                    self.note(packet, "tail", u32::from(h.0), now);
                     self.trace(packet, Stage::NetTail, u32::from(h.0), now);
                 }
             }
@@ -1400,7 +1312,6 @@ impl Network {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
         let pkt = self.pkt_get_mut(id.0).expect("packet exists");
         let out_port = pkt.desc.header.consume_route_byte();
-        pkt.route_bytes_consumed += 1;
         let inp = self.inputs[sw.idx()][port.idx()]
             .as_mut()
             // detlint::allow(S001, the input was occupied at route-ready time)
@@ -1410,7 +1321,6 @@ impl Network {
             // detlint::allow(S001, the front packet was just routed under the same borrow)
             .expect("queued packet present")
             .out_port = Some(out_port);
-        self.note(id, "route", u32::from(sw.0), now);
         self.trace(id, Stage::NetRoute, u32::from(sw.0), now);
         let out = self.out_chan[sw.idx()][out_port.idx()]
             // detlint::allow(S001, a route byte naming an unwired port is a table bug worth aborting on)
@@ -1441,27 +1351,6 @@ impl Network {
             }
             self.try_send(ch, now, sched);
         }
-    }
-
-    /// Total time each channel spent STOPped, summed (diagnostic for
-    /// contention experiments).
-    pub fn total_paused(&self) -> SimDuration {
-        self.chans
-            .iter()
-            .fold(SimDuration::ZERO, |acc, c| acc + c.paused_total)
-    }
-
-    /// Bytes carried per cable, both directions: `(link, a→b, b→a)`.
-    /// Channels are laid out pairwise per link (a→b, then b→a).
-    pub fn link_bytes(&self) -> Vec<(itb_topo::LinkId, u64, u64)> {
-        self.topo
-            .link_ids()
-            .map(|lid| {
-                let fwd = self.chans[lid.idx() * 2].bytes_sent;
-                let rev = self.chans[lid.idx() * 2 + 1].bytes_sent;
-                (lid, fwd, rev)
-            })
-            .collect()
     }
 
     /// Per-link names, `"<a>-<b>"` with endpoints `h<n>` (host) or `s<n>`
@@ -1558,8 +1447,8 @@ impl Network {
     /// flow-control state, switch input buffers, host send/receive ports,
     /// the in-flight packet registry and the forced-down overlay — into `d`.
     ///
-    /// Pure diagnostics (byte counters, pause-time accumulators, packet
-    /// timelines, the lifecycle tracer) are deliberately excluded: two
+    /// Pure diagnostics (byte counters, pause-time accumulators, the
+    /// lifecycle tracer) are deliberately excluded: two
     /// worlds that differ only in such counters dispatch identical futures,
     /// and folding them in would make the model checker explore the same
     /// behavior many times over. Probabilistic fault state (`FaultPlan` RNG)

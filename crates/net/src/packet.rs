@@ -1,22 +1,9 @@
 //! In-flight packet bookkeeping.
 
 use itb_routing::wire::Header;
-use itb_sim::{narrow, SimTime};
+use itb_sim::narrow;
 use itb_topo::HostId;
 use serde::Serialize;
-
-/// One instrumented moment in a packet's life (recorded only when
-/// `NetConfig::record_timelines` is on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// What happened ("inject", "route", "head", "tail", "reinject",
-    /// "nic.early_recv", "nic.recv_finish", "nic.deliver", ...).
-    pub tag: &'static str,
-    /// Context (switch or host index, 0 when unused).
-    pub value: u32,
-    /// When.
-    pub t: SimTime,
-}
 
 /// Globally unique in-flight packet identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -45,18 +32,10 @@ pub struct PacketDesc {
 pub struct PacketState {
     /// Immutable identity & payload info.
     pub desc: PacketDesc,
-    /// When the first byte entered the network.
-    pub injected_at: SimTime,
-    /// Route bytes consumed so far (diagnostic).
-    pub route_bytes_consumed: u32,
-    /// In-transit hops performed so far (diagnostic).
-    pub itb_hops: u32,
     /// Fault injection: the packet's CRC was damaged in flight. Checked by
     /// the receiving NIC at completion (cut-through stages forward it
     /// unverified, as real hardware must).
     pub corrupted: bool,
-    /// Instrumented life events (empty unless timelines are enabled).
-    pub timeline: Vec<TimelineEntry>,
 }
 
 impl PacketState {
@@ -88,11 +67,7 @@ mod tests {
                 tag: 7,
                 src: HostId(0),
             },
-            injected_at: SimTime::ZERO,
-            route_bytes_consumed: 0,
-            itb_hops: 0,
             corrupted: false,
-            timeline: Vec::new(),
         };
         assert_eq!(st.wire_len(), 4 + 100 + 1);
     }

@@ -3,6 +3,7 @@
 use itb_net::{PacketDesc, PacketId};
 use itb_sim::SimTime;
 use itb_topo::HostId;
+use std::hash::{Hash, Hasher};
 
 /// Scheduling hook for NIC events, implemented by the integrating world.
 pub trait NicSched {
@@ -22,7 +23,7 @@ impl NicSched for itb_sim::EventQueue<NicEvent> {
 pub type SendToken = u64;
 
 /// Work the MCP processor finishes at a `Cpu` event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuWork {
     /// The Early-Recv handler examined the first four bytes (ITB firmware
     /// only).
@@ -75,62 +76,30 @@ pub enum DmaJob {
     },
 }
 
-impl CpuWork {
-    /// Fold this work item (variant tag + payload) into a model-checker
-    /// digest.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match *self {
-            CpuWork::EarlyRecv { packet } => {
-                d.u8(0);
-                d.u64(packet.0);
-            }
-            CpuWork::ItbForward { packet } => {
-                d.u8(1);
-                d.u64(packet.0);
-            }
-            CpuWork::SendProgram { token } => {
-                d.u8(2);
-                d.u64(token);
-            }
-            CpuWork::RecvFinish { packet } => {
-                d.u8(3);
-                d.u64(packet.0);
-            }
-            CpuWork::RecvDeliver { packet } => {
-                d.u8(4);
-                d.u64(packet.0);
-            }
-        }
-    }
-}
-
-impl DmaJob {
-    /// Fold this transfer (variant tag + payload) into a model-checker
-    /// digest.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match *self {
-            DmaJob::SdmaChunk { token, bytes, last } => {
-                d.u8(0);
-                d.u64(token);
-                d.u32(bytes);
-                d.bool(last);
-            }
+/// Written by hand, not derived: [`crate::dma::HostDma`] folds its queued
+/// jobs into every state digest, and these bytes (a one-byte tag, the token
+/// or packet id, the chunk bytes, the last flag as one byte) are the ones
+/// the committed `state=` digests were taken with. A derived impl would
+/// write an eight-byte tag.
+impl Hash for DmaJob {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let (tag, id, bytes, last) = match *self {
+            DmaJob::SdmaChunk { token, bytes, last } => (0, token, bytes, last),
             DmaJob::RdmaChunk {
                 packet,
                 bytes,
                 last,
-            } => {
-                d.u8(1);
-                d.u64(packet.0);
-                d.u32(bytes);
-                d.bool(last);
-            }
-        }
+            } => (1, packet.0, bytes, last),
+        };
+        h.write_u8(tag);
+        h.write_u64(id);
+        h.write_u32(bytes);
+        h.write_u8(u8::from(last));
     }
 }
 
 /// Events owned by one NIC (the `host` field routes them in the cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NicEvent {
     /// The firmware CPU finished a handler.
     Cpu {
@@ -146,24 +115,6 @@ pub enum NicEvent {
         /// The finished transfer.
         job: DmaJob,
     },
-}
-
-impl NicEvent {
-    /// Fold this event (variant tag + payload) into a model-checker digest.
-    pub fn digest_into(&self, d: &mut itb_sim::Digest) {
-        match *self {
-            NicEvent::Cpu { host, work } => {
-                d.u8(0);
-                d.u16(host.0);
-                work.digest_into(d);
-            }
-            NicEvent::Dma { host, job } => {
-                d.u8(1);
-                d.u16(host.0);
-                job.digest_into(d);
-            }
-        }
-    }
 }
 
 /// What the NIC reports up to the GM host layer. Drained by the cluster

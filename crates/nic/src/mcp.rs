@@ -712,8 +712,7 @@ impl Nic {
             cycles += self.timing.itb_support_extra_cycles;
         }
         let done = self.run_cpu(now, cycles);
-        // Timeline note at handler completion, so breakdowns see the CPU cost.
-        net.note(packet, "nic.recv_finish", u32::from(self.host.0), done);
+        // Traced at handler completion, so breakdowns see the CPU cost.
         net.trace(packet, Stage::McpRecvFinish, u32::from(self.host.0), done);
         sched.nic_at(
             done,
@@ -767,7 +766,6 @@ impl Nic {
     {
         match work {
             CpuWork::EarlyRecv { packet } => {
-                net.note(packet, "nic.early_recv", u32::from(self.host.0), now);
                 net.trace(packet, Stage::McpEarlyRecv, u32::from(self.host.0), now);
                 let Some(st) = self.recv.get_mut(&packet.0) else {
                     return;
@@ -879,7 +877,6 @@ impl Nic {
                 }
             }
             CpuWork::RecvDeliver { packet } => {
-                net.note(packet, "nic.deliver", u32::from(self.host.0), now);
                 net.trace(packet, Stage::NicDeliver, u32::from(self.host.0), now);
                 // Hand the message up and recycle the buffer.
                 // detlint::allow(S001, delivery events fire only for admitted packets)

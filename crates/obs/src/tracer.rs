@@ -53,11 +53,6 @@ impl PacketTracer {
         self.enabled = true;
     }
 
-    /// Stop recording (events are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether recording is active.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -93,11 +88,6 @@ impl PacketTracer {
             .filter(|e| e.packet == packet)
             .copied()
             .collect()
-    }
-
-    /// Events with a given stage.
-    pub fn with_stage(&self, stage: Stage) -> impl Iterator<Item = &StageEvent> + '_ {
-        self.events.iter().filter(move |e| e.stage == stage)
     }
 
     /// First event with a given stage.
@@ -151,7 +141,6 @@ mod tests {
         t.record(9, Stage::HostInject, 1, SimTime::from_ns(3));
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.for_packet(7).len(), 2);
-        assert_eq!(t.with_stage(Stage::HostInject).count(), 2);
         assert_eq!(t.first(Stage::NetInject).unwrap().t, SimTime::from_ns(2));
         assert_eq!(t.packets(), vec![7, 9]);
     }
@@ -172,16 +161,5 @@ mod tests {
         assert!(t.is_enabled());
         t.record(9, Stage::NetTail, 0, SimTime::from_ns(9));
         assert_eq!(t.events().len(), 1);
-    }
-
-    #[test]
-    fn disabling_mid_run_stops_recording_but_keeps_events() {
-        let mut t = PacketTracer::new(8);
-        t.enable();
-        t.record(1, Stage::NetHead, 0, SimTime::from_ns(1));
-        t.disable();
-        t.record(1, Stage::NetTail, 0, SimTime::from_ns(2));
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.dropped(), 0, "disabled records are not drops");
     }
 }

@@ -19,6 +19,12 @@
 //! probability around 2·10^-8, and a collision is *conservative only in
 //! cost* terms it would merge two distinct states. DESIGN.md §"Model
 //! checking" discusses the trade-off.
+//!
+//! `Digest` also implements [`std::hash::Hasher`], so a type that derives
+//! `Hash` folds itself in with `value.hash(&mut digest)`. The event enums
+//! of the network, NIC and GM layers take their digest identity this way;
+//! the `state_digest` hooks of stateful structs still write their fields
+//! by hand.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -94,6 +100,44 @@ impl Digest {
     }
 }
 
+/// `#[derive(Hash)]` types fold into a [`Digest`] with the same fixed-width
+/// little-endian bytes as the named methods; `usize` and `isize` widen to
+/// 64 bits, so the bytes do not depend on the platform. A derived enum
+/// writes its variant tag as an `isize`, i.e. eight bytes.
+impl std::hash::Hasher for Digest {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.u8(v);
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.u16(v);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.u32(v);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.u64(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.usize(v);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.u64(v as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +172,29 @@ mod tests {
         b.u32(2);
         b.u32(1);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn hasher_writes_equal_the_named_methods() {
+        use std::hash::Hasher;
+        fn fold(f: impl FnOnce(&mut Digest)) -> u64 {
+            let mut d = Digest::new();
+            f(&mut d);
+            Hasher::finish(&d)
+        }
+        assert_eq!(fold(|d| d.write(b"ab")), fold(|d| d.bytes(b"ab")));
+        assert_eq!(fold(|d| d.write_u8(0xa5)), fold(|d| d.u8(0xa5)));
+        assert_eq!(fold(|d| d.write_u16(0x0102)), fold(|d| d.u16(0x0102)));
+        assert_eq!(
+            fold(|d| d.write_u32(0x0102_0304)),
+            fold(|d| d.u32(0x0102_0304))
+        );
+        assert_eq!(
+            fold(|d| d.write_u64(u64::MAX - 1)),
+            fold(|d| d.u64(u64::MAX - 1))
+        );
+        assert_eq!(fold(|d| d.write_usize(7)), fold(|d| d.u64(7)));
+        assert_eq!(fold(|d| d.write_isize(-1)), fold(|d| d.u64(u64::MAX)));
     }
 
     #[test]

@@ -5,6 +5,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One temp root for every step's outputs, one subdirectory per run (each
+# bin creates its ITB_RESULTS_DIR on first write), so a clean run leaves
+# the working tree unchanged.
+work=$(mktemp -d)
+# The ledger's committed lock still lists a dependency the workspace has
+# dropped, so cargo re-resolves it on every ledger build. Put the committed
+# copy back on exit; the re-resolved lock lands with the next benchmark
+# change (ROADMAP item 5).
+cp ledger/Cargo.lock "$work/ledger-Cargo.lock"
+trap 'cp "$work/ledger-Cargo.lock" ledger/Cargo.lock; rm -rf "$work"' EXIT
+
 echo "== dead dependencies (every manifest dependency is named in its sources) =="
 # Each key under [dependencies] and [dev-dependencies] of the root manifest
 # and of every crates/*/Cargo.toml must appear as a word (`-` read as `_`)
@@ -39,9 +50,11 @@ echo "== detlint v2 (determinism & soundness analyzer, hard gate) =="
 # taint rules (T001 transitive nondeterminism reach, T002 unordered-iteration
 # sinks, T003 state-digest completeness). Exits nonzero on any unallowed
 # finding; the JSON report is the audit trail. The soft wall-time budget
-# keeps the gate honest about its own cost (self-benchmark in the report).
-cargo run --release -q -p itb-lint --bin detlint -- --budget-ms 15000
-echo "   report: results/detlint.json"
+# keeps the gate honest about its own cost (the time is printed, not
+# written to the report). The report holds no host reading, so a fresh
+# one must equal the committed results/detlint.json byte for byte.
+cargo run --release -q -p itb-lint --bin detlint -- --budget-ms 15000 --json "$work/detlint.json"
+cmp "$work/detlint.json" results/detlint.json
 
 echo "== cargo clippy (deny warnings, incl. perf lints) =="
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
@@ -61,10 +74,6 @@ echo "== cargo doc (deny warnings: broken, ambiguous and private doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== chaos smoke (seeded faults, exactly-once) =="
-# One temp root for every step's outputs, one subdirectory per run (each
-# bin creates its ITB_RESULTS_DIR on first write).
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$work/chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health

@@ -4,7 +4,7 @@
 
 use itb_myrinet::core::{ClusterSpec, McpFlavor};
 use itb_myrinet::gm::AppBehavior;
-use itb_myrinet::net::FaultPlan;
+use itb_myrinet::net::{FaultPlan, LinkFault};
 use itb_myrinet::routing::figures;
 use itb_myrinet::sim::{run_until, EventQueue, SimTime};
 use itb_myrinet::topo::builders::fig6_testbed;
@@ -92,13 +92,13 @@ fn starved_in_transit_host_recovers_itb_traffic() {
 
 #[test]
 fn crc_corruption_recovers_via_retransmission() {
-    // Every 4th injected packet (data or ack) has its CRC damaged; the
-    // receiving NIC drops it at the tail check and go-back-N must still
-    // deliver every message exactly once.
+    // A quarter of the packets (data or ack) entering any link have their
+    // CRC damaged; the receiving NIC drops them at the tail check and
+    // go-back-N must still deliver every message exactly once.
     let tb = fig6_testbed();
     let spec = ClusterSpec::fig6_testbed()
         .with_mcp(McpFlavor::Original)
-        .with_corruption_every(4);
+        .with_faults(FaultPlan::seeded(1).with_corrupt_prob(0.25));
     let behaviors = vec![
         AppBehavior::Stream {
             dst: tb.host2,
@@ -128,11 +128,16 @@ fn crc_corruption_recovers_via_retransmission() {
 fn corrupted_itb_packet_dropped_at_destination_and_recovered() {
     // A corrupted packet on the ITB route is forwarded unverified (cut-
     // through cannot check the CRC before re-injecting) and dropped at the
-    // final destination's tail check.
+    // final destination's tail check. Only the sender's own cable corrupts,
+    // so every damaged data packet is damaged before the in-transit host.
     let tb = fig6_testbed();
     let spec = ClusterSpec::fig6_testbed()
         .with_mcp(McpFlavor::Itb)
-        .with_corruption_every(3)
+        .with_faults(FaultPlan::seeded(1).with_link_override(LinkFault {
+            link: tb.topo.host_link(tb.host1),
+            drop_prob: 0.0,
+            corrupt_prob: 0.33,
+        }))
         .with_route_override(figures::fig8_itb_route(&tb))
         .with_route_override(figures::fig8_return_route(&tb));
     let behaviors = vec![
