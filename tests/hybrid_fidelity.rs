@@ -25,6 +25,7 @@
 
 use itb_myrinet::core::{ClusterSpec, RoutingPolicy};
 use itb_myrinet::gm::{AppBehavior, Cluster, ClusterEvent, ESCALATE_CONTENTION};
+use itb_myrinet::net::FaultPlan;
 use itb_myrinet::sim::{run_while, Digest, EventQueue, SimDuration, SimTime};
 use itb_myrinet::topo::{partition, HostId, RegionFidelity, RegionPlan};
 
@@ -286,4 +287,105 @@ fn flow_regions_after_start_are_rejected_at_the_call() {
     hybrid.start(&mut q);
     let plan = RegionPlan::all_flow(partition(spec.topology(), REGIONS, spec.seed));
     hybrid.enable_flow_regions(plan, FLOW_ROUND);
+}
+
+/// Every `metrics_snapshot` key holds the field it names, checked against
+/// each layer's own stats on a mixed hybrid run with lossy links (so the
+/// GM retransmission counter moves too).
+#[test]
+fn metrics_snapshot_keys_hold_the_fields_they_name() {
+    let mut spec = ClusterSpec::irregular(16, 1)
+        .with_routing(RoutingPolicy::UpDown)
+        .with_faults(FaultPlan::seeded(7).with_drop_prob(0.02));
+    spec.calib.gm.reliability = true;
+    let n = spec.num_hosts();
+    let behaviors: Vec<AppBehavior> = (0..n)
+        .map(|i| AppBehavior::Stream {
+            dst: HostId(((i + n / 2) % n) as u16),
+            size: 6_000,
+            count: 2,
+        })
+        .collect();
+    let mut hybrid = spec.build(behaviors);
+    let mut plan = RegionPlan::all_flow(partition(spec.topology(), REGIONS, spec.seed));
+    plan.escalate(0);
+    hybrid.enable_flow_regions(plan, FLOW_ROUND);
+    let mut q = EventQueue::new();
+    drain(&mut hybrid, &mut q, n * 2);
+    assert!(
+        hybrid.flow_messages() > 0,
+        "some messages ride the flow path"
+    );
+
+    let snap = hybrid.metrics_snapshot(q.now());
+    let mut expected: Vec<(String, u64)> = Vec::new();
+    let s = hybrid.net.stats();
+    for (k, v) in [
+        ("injected", s.injected),
+        ("reinjected", s.reinjected),
+        ("delivered", s.delivered),
+        ("bytes_delivered", s.bytes_delivered),
+        ("fault_drops", s.fault_drops),
+        ("fault_corrupts", s.fault_corrupts),
+        ("link_down_drops", s.link_down_drops),
+        ("forced_corrupts", s.forced_corrupts),
+    ] {
+        expected.push((format!("net.{k}"), v));
+    }
+    for i in 0..n {
+        let s = hybrid.nic(HostId(i as u16)).stats();
+        for (k, v) in [
+            ("sends", s.sends),
+            ("recvs", s.recvs),
+            ("early_recv_events", s.early_recv_events),
+            ("itb_detects", s.itb_detects),
+            ("itb_forwards", s.itb_forwards),
+            ("itb_pending_serviced", s.itb_pending_serviced),
+            ("flushed", s.flushed),
+            ("crc_drops", s.crc_drops),
+            ("rx_stalls", s.rx_stalls),
+            ("crash_flushes", s.crash_flushes),
+        ] {
+            expected.push((format!("nic.{i}.{k}"), v));
+        }
+    }
+    let hosts = || (0..n).map(|i| hybrid.host(HostId(i as u16)));
+    let retransmissions: u64 = hosts()
+        .flat_map(|h| h.tx.iter().map(|c| c.retransmissions))
+        .sum();
+    let duplicates: u64 = hosts()
+        .flat_map(|h| h.rx.iter().map(|c| c.duplicates))
+        .sum();
+    assert!(retransmissions > 0, "the lossy links force resends");
+    expected.push(("gm.retransmissions".into(), retransmissions));
+    expected.push(("gm.duplicates".into(), duplicates));
+    expected.push((
+        "gm.app_deliveries".into(),
+        hybrid.delivery_log().len() as u64,
+    ));
+    expected.push((
+        "gm.connections_failed".into(),
+        hybrid.connection_failures().len() as u64,
+    ));
+    for (k, v) in &expected {
+        assert_eq!(snap.counters.get(k), Some(v), "counter {k}");
+    }
+
+    let flow: Vec<&str> = snap
+        .counters
+        .keys()
+        .filter_map(|k| k.strip_prefix("flow."))
+        .collect();
+    assert_eq!(
+        flow,
+        [
+            "bytes_delivered",
+            "escalations",
+            "msgs_delivered",
+            "msgs_opened",
+            "solves"
+        ]
+    );
+    assert_eq!(snap.counters["flow.msgs_opened"], hybrid.flow_messages());
+    assert_eq!(snap.counters.len(), 8 + 10 * n + 7 + 5);
 }
