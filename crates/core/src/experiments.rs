@@ -136,17 +136,11 @@ pub fn itb_count_sweep(ks: &[usize], size: u32, iters: u32) -> Vec<(usize, f64)>
             let mut from_sw = 0u16;
             for i in 1..=k {
                 let mid = HostId(narrow(i));
-                segments.push(chain_segment(&topo, from, from_sw, mid, narrow(i)));
+                segments.push(chain_segment(from, from_sw, mid, narrow(i)));
                 from = mid;
                 from_sw = narrow(i);
             }
-            segments.push(chain_segment(
-                &topo,
-                from,
-                from_sw,
-                dst,
-                narrow(switches - 1),
-            ));
+            segments.push(chain_segment(from, from_sw, dst, narrow(switches - 1)));
             let route = SourceRoute { src, dst, segments };
             assert!(route.is_well_formed(&topo));
             assert_eq!(route.itb_count(), k);
@@ -159,13 +153,7 @@ pub fn itb_count_sweep(ks: &[usize], size: u32, iters: u32) -> Vec<(usize, f64)>
 
 /// One up\*/down\*-legal chain segment from the host at `from_sw` to the
 /// host at `to_sw` (chain wiring: port 0 = left, 1 = right, 2 = host).
-fn chain_segment(
-    topo: &itb_topo::Topology,
-    from: HostId,
-    from_sw: u16,
-    to: HostId,
-    to_sw: u16,
-) -> itb_routing::Segment {
+fn chain_segment(from: HostId, from_sw: u16, to: HostId, to_sw: u16) -> itb_routing::Segment {
     use itb_routing::Hop;
     use itb_topo::SwitchId;
     assert!(from_sw < to_sw);
@@ -174,7 +162,6 @@ fn chain_segment(
         hops.push(Hop::new(SwitchId(s), 1));
     }
     hops.push(Hop::new(SwitchId(to_sw), 2));
-    let _ = topo;
     itb_routing::Segment { from, to, hops }
 }
 
@@ -394,12 +381,6 @@ pub struct ExchangeResult {
 /// time of distributed applications". Reliability is forced on so the
 /// exchange always completes (drops are retransmitted).
 pub fn total_exchange(spec: &ClusterSpec, size: u32, horizon_ms: u64) -> ExchangeResult {
-    let mut spec = spec.clone();
-    // Reliability on so drops cannot lose messages, but with a timeout far
-    // above the congested exchange makespan — otherwise go-back-N fires
-    // spuriously on merely-queued packets and floods the network.
-    spec.calib.gm.reliability = true;
-    spec.calib.gm.retrans_timeout = SimDuration::from_ms(horizon_ms / 4);
     let n = spec.num_hosts();
     let behaviors = vec![
         AppBehavior::AllToAll {
@@ -408,34 +389,7 @@ pub fn total_exchange(spec: &ClusterSpec, size: u32, horizon_ms: u64) -> Exchang
         };
         n
     ];
-    let mut cluster = spec.build(behaviors);
-    let mut q = EventQueue::new();
-    cluster.start(&mut q);
-    let expected = n * (n - 1);
-    let horizon = SimTime::ZERO + SimDuration::from_ms(horizon_ms);
-    run_while(&mut cluster, &mut q, |c| c.delivered_count() < expected);
-    assert!(
-        q.now() <= horizon,
-        "total exchange exceeded the {horizon_ms} ms horizon"
-    );
-    assert_eq!(
-        cluster.delivered_count(),
-        expected,
-        "total exchange did not complete"
-    );
-    let mut makespan = SimTime::ZERO;
-    let mut lat = Accum::new();
-    for rec in cluster.messages() {
-        // detlint::allow(S001, a drained run implies delivery)
-        let d = rec.delivered_at.expect("all delivered");
-        makespan = makespan.max(d);
-        lat.add((d - rec.sent_at).as_us_f64());
-    }
-    ExchangeResult {
-        makespan_us: makespan.as_us_f64(),
-        mean_latency_us: lat.mean(),
-        messages: expected,
-    }
+    run_exchange(spec, behaviors, n * (n - 1), horizon_ms, "total exchange")
 }
 
 /// Run a permutation exchange: host *i* streams `count` messages of `size`
@@ -449,9 +403,6 @@ pub fn permutation_exchange(
     count: u32,
     horizon_ms: u64,
 ) -> ExchangeResult {
-    let mut spec = spec.clone();
-    spec.calib.gm.reliability = true;
-    spec.calib.gm.retrans_timeout = SimDuration::from_ms(horizon_ms / 4);
     let n = spec.num_hosts();
     let behaviors: Vec<AppBehavior> = (0..n)
         .map(|i| AppBehavior::Stream {
@@ -460,16 +411,45 @@ pub fn permutation_exchange(
             count,
         })
         .collect();
+    let expected = n * count as usize;
+    run_exchange(
+        spec,
+        behaviors,
+        expected,
+        horizon_ms,
+        "permutation exchange",
+    )
+}
+
+/// Run `behaviors` on `spec` until all `expected` messages are delivered
+/// and summarise the exchange. Panics, naming the exchange `what`, when the
+/// run overruns `horizon_ms` or stops short.
+fn run_exchange(
+    spec: &ClusterSpec,
+    behaviors: Vec<AppBehavior>,
+    expected: usize,
+    horizon_ms: u64,
+    what: &str,
+) -> ExchangeResult {
+    let mut spec = spec.clone();
+    // Reliability on so drops cannot lose messages, but with a timeout far
+    // above the congested exchange makespan — otherwise go-back-N fires
+    // spuriously on merely-queued packets and floods the network.
+    spec.calib.gm.reliability = true;
+    spec.calib.gm.retrans_timeout = SimDuration::from_ms(horizon_ms / 4);
     let mut cluster = spec.build(behaviors);
     let mut q = EventQueue::new();
     cluster.start(&mut q);
-    let expected = n * count as usize;
     run_while(&mut cluster, &mut q, |c| c.delivered_count() < expected);
     assert!(
         q.now() <= SimTime::ZERO + SimDuration::from_ms(horizon_ms),
-        "permutation exchange exceeded the {horizon_ms} ms horizon"
+        "{what} exceeded the {horizon_ms} ms horizon"
     );
-    assert_eq!(cluster.delivered_count(), expected);
+    assert_eq!(
+        cluster.delivered_count(),
+        expected,
+        "{what} did not complete"
+    );
     let mut makespan = SimTime::ZERO;
     let mut lat = Accum::new();
     for rec in cluster.messages() {

@@ -129,11 +129,36 @@ struct FlowMode {
     /// Link ids owned by each region, for the escalation contention scan
     /// (host links count toward their switch's region; cut links toward
     /// the lower-numbered side).
-    // detlint::allow(T003, derived from the immutable topology + partition at enable time)
     region_links: Vec<Vec<u32>>,
     /// Regions escalated to packet fidelity so far.
-    // detlint::allow(T003, diagnostics counter: mirrors the digested fidelity vector)
     escalations: u64,
+}
+
+impl FlowMode {
+    /// Whether a `src → dst` message may ride the flow engine: at least
+    /// one Flow region left, no in-transit hop on the installed route in
+    /// `routes`, and every switch on the (BFS) flow path at Flow fidelity.
+    fn carries(&self, src: HostId, dst: HostId, routes: &RouteTable) -> bool {
+        if self.plan.is_all_packet() || src == dst || routes.itb_count(src, dst) > 0 {
+            return false;
+        }
+        self.rounds.net.path_all(src, dst, |s| {
+            self.plan.fidelity_of_switch(s) == RegionFidelity::Flow
+        })
+    }
+
+    /// The `flow.*` counters with their metric names. Every one is
+    /// monotonic: the health monitor flags any value that goes backwards,
+    /// so gauges stay out.
+    fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("bytes_delivered", self.rounds.net.bytes_delivered()),
+            ("escalations", self.escalations),
+            ("msgs_delivered", self.rounds.completed),
+            ("msgs_opened", self.rounds.opened),
+            ("solves", self.rounds.net.solves()),
+        ]
+    }
 }
 
 /// Queue adapter giving each layer its scheduling trait.
@@ -267,11 +292,8 @@ pub struct Cluster {
     /// The wormhole network.
     pub net: Network,
     nics: Vec<Nic>,
+    /// GM hosts, all built from one [`GmConfig`] and one route table.
     hosts: Vec<Host>,
-    /// The route table, kept for flow-eligibility checks (a route crossing
-    /// an in-transit host must stay in the packet model).
-    // detlint::allow(T003, immutable after construction: shared read-only with every host)
-    table: Arc<RouteTable>,
     apps: Vec<App>,
     /// Per-message records, indexed by message id (ids are dense per
     /// shard: the next id is the length).
@@ -296,8 +318,6 @@ pub struct Cluster {
     /// [`Cluster::nic_mut`]); [`Cluster::pump`] drains only these.
     // detlint::allow(T003, pump scratch: cleared before every event completes)
     touched: Vec<u16>,
-    // detlint::allow(T003, per-run GM protocol configuration: fixed before the first event and never mutated)
-    gm: GmConfig,
     // detlint::allow(T003, per-run fault schedule: fixed before the first event; its effects land in digested NIC/host state)
     crashes: Vec<HostCrash>,
     connection_failures: Vec<(HostId, HostId)>,
@@ -379,7 +399,6 @@ impl Cluster {
             ind_buf: Vec::new(),
             out_buf: Vec::new(),
             touched: Vec::new(),
-            gm: p.gm,
             crashes: p.faults.crashes,
             connection_failures: Vec::new(),
             delivery_log: Vec::new(),
@@ -388,7 +407,6 @@ impl Cluster {
             crashes_injected: 0,
             shard: None,
             observers: Observing::Planned(itb_obs::ObserverPlan::default()),
-            table,
             flow_mode: None,
         }
     }
@@ -512,25 +530,6 @@ impl Cluster {
         });
     }
 
-    /// Whether a `src → dst` message may ride the flow engine: flow mode
-    /// on, at least one Flow region left, no in-transit hop on the
-    /// installed route, and every switch on the (BFS) flow path at Flow
-    /// fidelity.
-    fn flow_eligible(&self, src: HostId, dst: HostId) -> bool {
-        let Some(fm) = &self.flow_mode else {
-            return false;
-        };
-        if fm.plan.is_all_packet() || src == dst {
-            return false;
-        }
-        if self.table.itb_count(src, dst) > 0 {
-            return false;
-        }
-        fm.rounds.net.path_all(src, dst, |s| {
-            fm.plan.fidelity_of_switch(s) == RegionFidelity::Flow
-        })
-    }
-
     /// The per-region fidelity assignment as currently escalated (None
     /// when flow mode is off).
     pub fn region_fidelity(&self) -> Option<&[RegionFidelity]> {
@@ -550,8 +549,9 @@ impl Cluster {
     /// back to the packet path; and clamp completions per (src, dst) pair
     /// so flow deliveries stay FIFO.
     fn on_flow_round(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
-        // detlint::allow(S001, FlowRound events are only scheduled in flow mode)
-        let mut fm = self.flow_mode.take().expect("FlowRound requires flow mode");
+        let Some(fm) = &mut self.flow_mode else {
+            return;
+        };
         fm.rounds.net.solve();
 
         // Escalation sweep: regions whose busiest channel reached the
@@ -585,18 +585,24 @@ impl Cluster {
                     rec.len = remaining;
                 }
                 let host = &mut self.hosts[flow.src.idx()];
+                let base = host.cfg.o_send;
                 host.send(flow.dst, remaining, msg_id, now, &mut self.release_buf);
-                self.release(flow.src, flow.dst, now, self.gm.o_send, q);
+                self.release(flow.src, flow.dst, now, base, q);
             }
+        }
+
+        let Some(fm) = &mut self.flow_mode else {
+            return;
+        };
+        if escalated {
             // The surviving flows re-share the freed capacity this round.
             fm.rounds.net.solve();
         }
-
-        let pair_fifo = &mut fm.pair_fifo;
+        let (messages, pair_fifo) = (&self.messages, &mut fm.pair_fifo);
         fm.rounds.advance(now, q, |id, at, q| {
             let msg_id: u32 = narrow(id);
             // Every open flow has a message record under its id.
-            let rec = &self.messages[msg_id as usize];
+            let rec = &messages[msg_id as usize];
             let key = (rec.src.0, rec.dst.0);
             let at = pair_fifo.get(&key).map_or(at, |&last| at.max(last));
             pair_fifo.insert(key, at);
@@ -610,7 +616,6 @@ impl Cluster {
                 }),
             );
         });
-        self.flow_mode = Some(fm);
     }
 
     /// Enable the sim-time timeline sampler: every `interval` of sim time a
@@ -904,23 +909,24 @@ impl Cluster {
         }
     }
 
-    /// Per-NIC counter names, in the order [`Cluster::fill_metrics_frame`]
-    /// fills their values. The two functions are kept in lockstep by this
-    /// shared list plus the length assertion in `MetricsFrame::to_snapshot`,
-    /// which every timeline row and [`Cluster::metrics_snapshot`] pass
-    /// through, so any drift fails the observability tests immediately.
-    const NIC_COUNTER_NAMES: [&'static str; 10] = [
-        "sends",
-        "recvs",
-        "early_recv_events",
-        "itb_detects",
-        "itb_forwards",
-        "itb_pending_serviced",
-        "flushed",
-        "crc_drops",
-        "rx_stalls",
-        "crash_flushes",
-    ];
+    /// The `gm.*` counters with their metric names.
+    fn gm_counters(&self) -> [(&'static str, u64); 7] {
+        let retransmissions = (self.hosts.iter())
+            .flat_map(|h| h.tx.iter().map(|c| c.retransmissions))
+            .sum();
+        let duplicates = (self.hosts.iter())
+            .flat_map(|h| h.rx.iter().map(|c| c.duplicates))
+            .sum();
+        [
+            ("retransmissions", retransmissions),
+            ("duplicates", duplicates),
+            ("app_deliveries", self.delivery_log.len() as u64),
+            ("drops_observed", self.drops_observed),
+            ("connections_failed", self.connection_failures.len() as u64),
+            ("packets_abandoned", self.packets_abandoned),
+            ("crashes_injected", self.crashes_injected),
+        ]
+    }
 
     /// Build the counter/link name schema for the frame sampling path, in
     /// the natural fill order of [`Cluster::fill_metrics_frame`]: `net.*`,
@@ -928,49 +934,23 @@ impl Cluster {
     /// Names depend only on the topology and flow mode, so
     /// [`Cluster::start`] builds the schema once per run.
     fn build_metrics_schema(&self) -> Arc<itb_obs::MetricsSchema> {
-        let mut keys = Vec::with_capacity(8 + self.nics.len() * Self::NIC_COUNTER_NAMES.len() + 7);
-        for k in [
-            "net.injected",
-            "net.reinjected",
-            "net.delivered",
-            "net.bytes_delivered",
-            "net.fault_drops",
-            "net.fault_corrupts",
-            "net.link_down_drops",
-            "net.forced_corrupts",
-        ] {
-            keys.push(k.to_string());
-        }
-        for i in 0..self.nics.len() {
-            for name in Self::NIC_COUNTER_NAMES {
-                keys.push(format!("nic.{i}.{name}"));
-            }
-        }
-        for k in [
-            "gm.retransmissions",
-            "gm.duplicates",
-            "gm.app_deliveries",
-            "gm.drops_observed",
-            "gm.connections_failed",
-            "gm.packets_abandoned",
-            "gm.crashes_injected",
-        ] {
-            keys.push(k.to_string());
-        }
+        let net = self.net.stats().counters();
+        let nic = itb_nic::stats::NicStats::default().counters();
+        let gm = self.gm_counters();
         // Flow-engine counters exist only in hybrid runs, so packet-only
         // artifacts (the chaos/perf byte-compare gates) keep their exact
-        // legacy key set. Every key is monotonic: the health monitor flags
-        // any value that goes backwards, so gauges stay out.
-        if self.flow_mode.is_some() {
-            for k in [
-                "flow.bytes_delivered",
-                "flow.escalations",
-                "flow.msgs_delivered",
-                "flow.msgs_opened",
-                "flow.solves",
-            ] {
-                keys.push(k.to_string());
-            }
+        // legacy key set.
+        let flow = self.flow_mode.as_ref().map(FlowMode::counters);
+        let flow_len = flow.map_or(0, |f| f.len());
+        let mut keys =
+            Vec::with_capacity(net.len() + self.nics.len() * nic.len() + gm.len() + flow_len);
+        keys.extend(net.iter().map(|(k, _)| ["net", ".", k].concat()));
+        for i in 0..self.nics.len() {
+            keys.extend(nic.iter().map(|(k, _)| format!("nic.{i}.{k}")));
+        }
+        keys.extend(gm.iter().map(|(k, _)| ["gm", ".", k].concat()));
+        if let Some(flow) = flow {
+            keys.extend(flow.iter().map(|(k, _)| ["flow", ".", k].concat()));
         }
         itb_obs::MetricsSchema::new(keys, self.net.link_names())
     }
@@ -982,59 +962,14 @@ impl Cluster {
     fn fill_metrics_frame(&self, now: SimTime, frame: &mut itb_obs::MetricsFrame) {
         frame.reset();
         frame.at_ns = now.as_ps() / 1_000;
-        let n = self.net.stats();
-        frame.counters.extend([
-            n.injected,
-            n.reinjected,
-            n.delivered,
-            n.bytes_delivered,
-            n.fault_drops,
-            n.fault_corrupts,
-            n.link_down_drops,
-            n.forced_corrupts,
-        ]);
+        let values = &mut frame.counters;
+        values.extend(self.net.stats().counters().map(|(_, v)| v));
         for nic in &self.nics {
-            let st = nic.stats();
-            frame.counters.extend([
-                st.sends,
-                st.recvs,
-                st.early_recv_events,
-                st.itb_detects,
-                st.itb_forwards,
-                st.itb_pending_serviced,
-                st.flushed,
-                st.crc_drops,
-                st.rx_stalls,
-                st.crash_flushes,
-            ]);
+            values.extend(nic.stats().counters().map(|(_, v)| v));
         }
-        let retransmissions: u64 = self
-            .hosts
-            .iter()
-            .flat_map(|h| h.tx.iter().map(|c| c.retransmissions))
-            .sum();
-        let duplicates: u64 = self
-            .hosts
-            .iter()
-            .flat_map(|h| h.rx.iter().map(|c| c.duplicates))
-            .sum();
-        frame.counters.extend([
-            retransmissions,
-            duplicates,
-            self.delivery_log.len() as u64,
-            self.drops_observed,
-            self.connection_failures.len() as u64,
-            self.packets_abandoned,
-            self.crashes_injected,
-        ]);
+        values.extend(self.gm_counters().map(|(_, v)| v));
         if let Some(fm) = &self.flow_mode {
-            frame.counters.extend([
-                fm.rounds.net.bytes_delivered(),
-                fm.escalations,
-                fm.rounds.completed,
-                fm.rounds.opened,
-                fm.rounds.net.solves(),
-            ]);
+            values.extend(fm.counters().map(|(_, v)| v));
         }
         self.net.fill_link_loads(&mut frame.links);
         frame.blocking = itb_obs::QuantileSummary::from(self.net.blocking_times());
@@ -1082,16 +1017,17 @@ impl Cluster {
         });
         // Hybrid engine: flow-eligible messages ride the flow model under
         // the same message id; everything else takes the packet path.
-        if self.flow_eligible(src, dst) {
-            // detlint::allow(S001, flow_eligible returned true so flow mode is on)
-            let fm = self.flow_mode.as_mut().expect("flow mode is on");
+        let host = &mut self.hosts[src.idx()];
+        let flow = (self.flow_mode.as_mut()).filter(|fm| fm.carries(src, dst, &host.routes));
+        if let Some(fm) = flow {
             let bytes = u64::from(len);
             fm.rounds.open(u64::from(msg_id), src, dst, bytes, now, q);
             return msg_id;
         }
         // A fresh application send pays the library-call cost.
-        self.hosts[src.idx()].send(dst, len, msg_id, now, &mut self.release_buf);
-        self.release(src, dst, now, self.gm.o_send, q);
+        let base = host.cfg.o_send;
+        host.send(dst, len, msg_id, now, &mut self.release_buf);
+        self.release(src, dst, now, base, q);
         msg_id
     }
 
@@ -1115,12 +1051,14 @@ impl Cluster {
         if self.release_buf.is_empty() {
             return;
         }
+        let host = &mut self.hosts[src.idx()];
+        let cfg = host.cfg;
         // Every release comes from an open connection.
-        let Some(conn) = self.hosts[src.idx()].conn_tx_mut(dst) else {
+        let Some(conn) = host.conn_tx_mut(dst) else {
             self.release_buf.clear();
             return;
         };
-        let step = self.gm.o_send_per_packet;
+        let step = cfg.o_send_per_packet;
         let earliest = now + base;
         let mut at = conn
             .submit_clock
@@ -1140,10 +1078,10 @@ impl Cluster {
             at += step;
         }
         // Arm the retransmission timer for this connection.
-        if self.gm.reliability && !conn.timer_armed {
+        if cfg.reliability && !conn.timer_armed {
             conn.timer_armed = true;
             q.schedule(
-                now + self.gm.retrans_timeout,
+                now + cfg.retrans_timeout,
                 ClusterEvent::Host(HostEvent::RetransCheck {
                     host: src,
                     peer: dst,
@@ -1247,30 +1185,33 @@ impl Cluster {
                 let from = desc.src;
                 match meta.kind {
                     Kind::Ack => {
-                        self.hosts[host.idx()].on_ack(from, meta.seq);
+                        let gm = &mut self.hosts[host.idx()];
+                        gm.on_ack(from, meta.seq);
                         // Acks open the send window: release queued packets.
                         // A refill pays only the per-packet posting cost.
-                        let buf = &mut self.release_buf;
-                        self.hosts[host.idx()].pump_window(from, now, buf);
-                        self.release(host, from, now, self.gm.o_send_per_packet, q);
+                        gm.pump_window(from, now, &mut self.release_buf);
+                        let base = gm.cfg.o_send_per_packet;
+                        self.release(host, from, now, base, q);
                     }
                     Kind::Data => {
                         let payload = desc.payload_len - GM_PKT_OVERHEAD;
-                        let action = self.hosts[host.idx()].on_data(from, payload, meta);
+                        let gm = &mut self.hosts[host.idx()];
+                        let action = gm.on_data(from, payload, meta);
+                        let cfg = &gm.cfg;
                         let ack = match &action {
                             RxAction::Accepted { ack }
                             | RxAction::Duplicate { ack }
                             | RxAction::Delivered { ack, .. } => Some(*ack),
                             RxAction::Dropped => None,
                         };
-                        if self.gm.reliability {
+                        if cfg.reliability {
                             if let Some(seq) = ack {
                                 let ev = HostEvent::SendAck {
                                     host,
                                     to: from,
                                     seq,
                                 };
-                                q.schedule(now + self.gm.o_ack, ClusterEvent::Host(ev));
+                                q.schedule(now + cfg.o_ack, ClusterEvent::Host(ev));
                             }
                         }
                         if let RxAction::Delivered { len, msg_id, .. } = action {
@@ -1280,7 +1221,7 @@ impl Cluster {
                                 packet,
                                 itb_obs::Stage::HostDeliver,
                                 u32::from(host.0),
-                                now + self.gm.o_recv,
+                                now + cfg.o_recv,
                             );
                             let deliver = HostEvent::AppDeliver {
                                 host,
@@ -1288,7 +1229,7 @@ impl Cluster {
                                 len,
                                 msg_id,
                             };
-                            q.schedule(now + self.gm.o_recv, ClusterEvent::Host(deliver));
+                            q.schedule(now + cfg.o_recv, ClusterEvent::Host(deliver));
                         }
                     }
                 }
@@ -1374,7 +1315,8 @@ impl Cluster {
                     RetransDecision::Resend => {
                         // A resend pays the per-packet posting cost, as a
                         // window refill does. The timer is armed already.
-                        self.release(host, peer, now, self.gm.o_send_per_packet, q);
+                        let base = self.hosts[host.idx()].cfg.o_send_per_packet;
+                        self.release(host, peer, now, base, q);
                     }
                     RetransDecision::Idle => {}
                 }

@@ -124,8 +124,8 @@ pub(crate) fn analyze_sources(files: &[(FileClass, String)]) -> (GraphStats, Vec
         }
     }
     let mut findings = Vec::new();
-    for (bucket, al) in per_file.iter_mut().zip(&allows) {
-        rules::apply_allows(bucket, al);
+    for ((bucket, al), (class, _)) in per_file.iter_mut().zip(&allows).zip(files) {
+        rules::apply_allows(&class.path, bucket, al);
         findings.append(bucket);
     }
     (graph.stats, findings)

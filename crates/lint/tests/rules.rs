@@ -239,6 +239,28 @@ fn allow_without_reason_is_a_finding_and_suppresses_nothing() {
 }
 
 #[test]
+fn allow_that_suppresses_nothing_is_a_finding() {
+    let fs = lint_fixture("crates/net/src/code.rs", "allow_stale_pos.rs");
+    let stale = unallowed(&fs, "A000");
+    assert_eq!(
+        stale.iter().map(|f| f.line).collect::<Vec<_>>(),
+        [4, 12],
+        "{fs:?}"
+    );
+    assert!(stale
+        .iter()
+        .all(|f| f.message.contains("suppresses no finding")));
+
+    // Doc comments quoting the syntax carry no allow; a used allow is fine.
+    let fs = lint_fixture("crates/net/src/code.rs", "allow_stale_neg.rs");
+    assert!(unallowed(&fs, "A000").is_empty(), "{fs:?}");
+    assert_eq!(
+        fs.iter().filter(|f| f.rule == "S001" && f.allowed).count(),
+        1
+    );
+}
+
+#[test]
 fn allow_with_unknown_rule_is_a_finding() {
     let src = "// detlint::allow(D999, not a real rule)\npub fn f() {}\n";
     let class = classify("crates/net/src/code.rs").expect("classifies");

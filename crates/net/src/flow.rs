@@ -516,21 +516,6 @@ impl FlowNet {
         }
         peak
     }
-
-    /// Highest post-solve utilisation (allocation/capacity) over the
-    /// directed channels of the given link set, 0.0 when unloaded.
-    pub fn peak_utilization(&self, links: impl Iterator<Item = u32>) -> f64 {
-        let mut peak = 0.0f64;
-        for lid in links {
-            for c in [lid as usize * 2, lid as usize * 2 + 1] {
-                let u = self.alloc[c] / self.cap[c];
-                if u > peak {
-                    peak = u;
-                }
-            }
-        }
-        peak
-    }
 }
 
 /// Solver heap entry: channel `c` saturates when the lockstep rate level
@@ -677,10 +662,11 @@ mod tests {
         assert_eq!(net.get(1).unwrap().interval.ps_per_byte(), 12_500);
         assert_eq!(net.get(2).unwrap().interval.ps_per_byte(), 12_500);
         assert_eq!(net.get(3).unwrap().interval.ps_per_byte(), 6_250);
-        // Utilisation on the shared destination link is 1.0.
-        let dst_link = topo.host_link(hosts[6]);
-        let peak = net.peak_utilization(std::iter::once(narrow(dst_link.idx())));
-        assert!((peak - 1.0).abs() < 1e-9, "{peak}");
+        // The shared destination channel is allocated its full capacity.
+        let l = topo.host_link(hosts[6]).idx();
+        let alloc = net.channel_allocation();
+        let peak = alloc[2 * l].max(alloc[2 * l + 1]);
+        assert!((peak - LINK).abs() < 1e-9, "{peak}");
     }
 
     #[test]

@@ -638,8 +638,7 @@ impl Network {
             return;
         }
         let roll = f.rng.f64();
-        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packet_mut(id);
         if roll < drop_p {
             if !pkt.corrupted {
                 pkt.corrupted = true;
@@ -665,8 +664,7 @@ impl Network {
         if !forced && !windowed {
             return;
         }
-        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packet_mut(id);
         if !pkt.corrupted {
             pkt.corrupted = true;
             self.stats.link_down_drops += 1;
@@ -734,23 +732,22 @@ impl Network {
         self.pkt_get(id.0).expect("packet exists")
     }
 
+    /// Exclusive [`Network::packet`].
+    fn packet_mut(&mut self, id: PacketId) -> &mut PacketState {
+        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
+        self.pkt_get_mut(id.0).expect("packet exists")
+    }
+
     /// The two-byte packet type currently at the head of a packet's header,
     /// if the packet is positioned at a NIC.
     pub fn packet_type(&self, id: PacketId) -> Option<u16> {
-        self.pkt_get(id.0)
-            // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-            .expect("packet exists")
-            .desc
-            .header
-            .packet_type()
+        self.packet(id).desc.header.packet_type()
     }
 
     /// Strip the `ITB | Length` group from a packet parked at an in-transit
     /// NIC (the MCP does this before reprogramming the send DMA).
     pub fn strip_itb_group(&mut self, id: PacketId) -> u8 {
-        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let p = self.pkt_get_mut(id.0).expect("packet exists");
-        p.desc.header.strip_itb_group()
+        self.packet_mut(id).desc.header.strip_itb_group()
     }
 
     /// Remove a fully delivered packet from the registry, returning its
@@ -878,8 +875,7 @@ impl Network {
         now: SimTime,
         sched: &mut impl NetSched,
     ) {
-        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let total = self.pkt_get(id.0).expect("packet exists").wire_len();
+        let total = self.packet(id).wire_len();
         self.trace(id, Stage::NetReinject, u32::from(host.0), now);
         let hp = &mut self.hosts[host.idx()];
         hp.tx_queue.push_back(HostTxPkt {
@@ -1268,12 +1264,7 @@ impl Network {
         // Peek the route byte to learn the output kind (kind-dependent
         // fall-through), without consuming it yet.
         let front_id = front.id;
-        let hdr = &self
-            .pkt_get(front_id.0)
-            // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-            .expect("packet exists")
-            .desc
-            .header;
+        let hdr = &self.packet(front_id).desc.header;
         let out_port = itb_routing::wire::decode_route_byte(hdr.as_bytes()[0])
             // detlint::allow(S001, headers are stripped hop by hop so a route byte leads at a switch)
             .expect("packet at a switch must lead with a route byte");
@@ -1309,8 +1300,7 @@ impl Network {
         front.received -= 1;
         inp.occupancy -= 1;
         front.routed = true;
-        // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packet_mut(id);
         let out_port = pkt.desc.header.consume_route_byte();
         let inp = self.inputs[sw.idx()][port.idx()]
             .as_mut()

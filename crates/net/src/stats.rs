@@ -25,20 +25,28 @@ pub struct NetStats {
     pub forced_corrupts: u64,
 }
 
+impl NetStats {
+    /// Every counter with its metric name, in field order.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("injected", self.injected),
+            ("reinjected", self.reinjected),
+            ("delivered", self.delivered),
+            ("bytes_delivered", self.bytes_delivered),
+            ("fault_drops", self.fault_drops),
+            ("fault_corrupts", self.fault_corrupts),
+            ("link_down_drops", self.link_down_drops),
+            ("forced_corrupts", self.forced_corrupts),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_is_zeroed() {
-        let s = NetStats::default();
-        assert_eq!(s.injected, 0);
-        assert_eq!(s.reinjected, 0);
-        assert_eq!(s.delivered, 0);
-        assert_eq!(s.bytes_delivered, 0);
-        assert_eq!(s.fault_drops, 0);
-        assert_eq!(s.fault_corrupts, 0);
-        assert_eq!(s.link_down_drops, 0);
-        assert_eq!(s.forced_corrupts, 0);
+        assert!(NetStats::default().counters().iter().all(|&(_, v)| v == 0));
     }
 }

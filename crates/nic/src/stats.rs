@@ -29,20 +29,29 @@ pub struct NicStats {
     pub crash_flushes: u64,
 }
 
+impl NicStats {
+    /// Every counter with its metric name, in field order.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("sends", self.sends),
+            ("recvs", self.recvs),
+            ("early_recv_events", self.early_recv_events),
+            ("itb_detects", self.itb_detects),
+            ("itb_forwards", self.itb_forwards),
+            ("itb_pending_serviced", self.itb_pending_serviced),
+            ("flushed", self.flushed),
+            ("crc_drops", self.crc_drops),
+            ("rx_stalls", self.rx_stalls),
+            ("crash_flushes", self.crash_flushes),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
     fn default_zeroed() {
         let s = super::NicStats::default();
-        assert_eq!(s.sends, 0);
-        assert_eq!(s.recvs, 0);
-        assert_eq!(s.early_recv_events, 0);
-        assert_eq!(s.itb_detects, 0);
-        assert_eq!(s.itb_forwards, 0);
-        assert_eq!(s.itb_pending_serviced, 0);
-        assert_eq!(s.flushed, 0);
-        assert_eq!(s.crc_drops, 0);
-        assert_eq!(s.rx_stalls, 0);
-        assert_eq!(s.crash_flushes, 0);
+        assert!(s.counters().iter().all(|&(_, v)| v == 0));
     }
 }

@@ -335,7 +335,6 @@ where
             let mailboxes = &mailboxes;
             let barrier_a = &barrier_a;
             let barrier_b = &barrier_b;
-            // detlint::allow(D002, one worker per shard, joined before run_shards returns)
             handles.push(scope.spawn(move || {
                 let mut windows: u64 = 0;
                 let mut incoming: Vec<Envelope<W::Msg>> = Vec::new();
@@ -498,7 +497,6 @@ mod tests {
         }
         fn run_window(&mut self, limit: SimTime) {
             while self.q.peek_time().is_some_and(|t| t < limit) {
-                // detlint::allow(S001, pop follows a successful peek)
                 let (now, tag) = self.q.pop().expect("peeked entry vanished");
                 self.handle(now, tag);
             }
@@ -563,7 +561,6 @@ mod tests {
             if t > horizon {
                 break;
             }
-            // detlint::allow(S001, pop follows a successful peek)
             let (now, (owner, tag)) = q.pop().expect("peeked entry vanished");
             seq[owner as usize].push((now, tag));
             if hops[owner as usize] > 0 {

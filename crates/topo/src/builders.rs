@@ -166,112 +166,6 @@ pub fn ring(n: usize, hosts_per_switch: usize) -> Topology {
     t
 }
 
-/// A star: one center switch cabled to `n` leaf switches, each carrying
-/// `hosts_per_switch` hosts (the center has none). The canonical "every
-/// route crosses the root" stress shape.
-pub fn star(leaves: usize, hosts_per_switch: usize) -> Topology {
-    assert!(leaves >= 2);
-    let mut t = Topology::new();
-    let center = t.add_switch_uniform(leaves);
-    let leaf_ports = 1 + hosts_per_switch;
-    for i in 0..leaves {
-        let leaf = t.add_switch_uniform(leaf_ports);
-        t.connect_switches(center, narrow(i), leaf, 0, cable::SAN)
-            // detlint::allow(S001, star wiring is static and in range)
-            .expect("static wiring is in range");
-        for j in 0..hosts_per_switch {
-            let h = t.add_host(PortKind::San);
-            t.connect_host(h, leaf, narrow(1 + j), cable::SAN)
-                // detlint::allow(S001, star wiring is static and in range)
-                .expect("static wiring is in range");
-        }
-    }
-    // detlint::allow(S001, validate re-checks the finished star graph)
-    t.validate().expect("star wiring is valid");
-    t
-}
-
-/// A dumbbell: two `k`-switch cliques joined by a single bridge cable —
-/// the classic bisection bottleneck.
-pub fn dumbbell(k: usize, hosts_per_switch: usize) -> Topology {
-    assert!(k >= 2);
-    let ports = (k - 1) + 1 + hosts_per_switch; // clique + bridge + hosts
-    let mut t = Topology::new();
-    let switches: Vec<_> = (0..2 * k).map(|_| t.add_switch_uniform(ports)).collect();
-    let mut next_port = vec![0u8; 2 * k];
-    for side in 0..2 {
-        let base = side * k;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let (a, b) = (base + i, base + j);
-                let (pa, pb) = (next_port[a], next_port[b]);
-                next_port[a] += 1;
-                next_port[b] += 1;
-                t.connect_switches(switches[a], pa, switches[b], pb, cable::SAN)
-                    // detlint::allow(S001, dumbbell wiring is static and in range)
-                    .expect("static wiring is in range");
-            }
-        }
-    }
-    // The bridge.
-    let (pa, pb) = (next_port[0], next_port[k]);
-    t.connect_switches(switches[0], pa, switches[k], pb, cable::SAN)
-        // detlint::allow(S001, dumbbell wiring is static and in range)
-        .expect("static wiring is in range");
-    next_port[0] += 1;
-    next_port[k] += 1;
-    for (i, &s) in switches.iter().enumerate() {
-        for _ in 0..hosts_per_switch {
-            let h = t.add_host(PortKind::San);
-            t.connect_host(h, s, next_port[i], cable::SAN)
-                // detlint::allow(S001, dumbbell wiring is static and in range)
-                .expect("static wiring is in range");
-            next_port[i] += 1;
-        }
-    }
-    // detlint::allow(S001, validate re-checks the finished dumbbell graph)
-    t.validate().expect("dumbbell wiring is valid");
-    t
-}
-
-/// A 2-D torus of `rows × cols` switches (each with `hosts_per_switch`
-/// hosts) — a regular topology treated as irregular by up\*/down\*, rich in
-/// forbidden turns.
-pub fn torus2d(rows: usize, cols: usize, hosts_per_switch: usize) -> Topology {
-    assert!(rows >= 2 && cols >= 2);
-    // Ports: 0 = +col (east), 1 = -col in (west), 2 = +row (south),
-    // 3 = -row in (north), 4.. hosts.
-    let ports = 4 + hosts_per_switch;
-    let mut t = Topology::new();
-    let idx = |r: usize, c: usize| r * cols + c;
-    let switches: Vec<_> = (0..rows * cols)
-        .map(|_| t.add_switch_uniform(ports))
-        .collect();
-    for r in 0..rows {
-        for c in 0..cols {
-            let east = idx(r, (c + 1) % cols);
-            t.connect_switches(switches[idx(r, c)], 0, switches[east], 1, cable::SAN)
-                // detlint::allow(S001, torus wiring is static and in range)
-                .expect("static wiring is in range");
-            let south = idx((r + 1) % rows, c);
-            t.connect_switches(switches[idx(r, c)], 2, switches[south], 3, cable::SAN)
-                // detlint::allow(S001, torus wiring is static and in range)
-                .expect("static wiring is in range");
-        }
-    }
-    for &s in &switches {
-        for j in 0..hosts_per_switch {
-            let h = t.add_host(PortKind::San);
-            t.connect_host(h, s, narrow(4 + j), cable::SAN)
-                // detlint::allow(S001, torus wiring is static and in range)
-                .expect("static wiring is in range");
-        }
-    }
-    // detlint::allow(S001, validate re-checks the finished torus graph)
-    t.validate().expect("torus wiring is valid");
-    t
-}
-
 /// A three-tier `k`-ary fat tree (Clos folded onto itself), the canonical
 /// scalable data-center fabric: `(k/2)²` core switches, `k` pods of `k/2`
 /// aggregation plus `k/2` edge switches, and `k³/4` hosts (`k/2` per edge
@@ -667,68 +561,6 @@ mod tests {
             || a.link_ids()
                 .any(|l| a.link(l).a != b.link(l).a || a.link(l).b != b.link(l).b);
         assert!(differs);
-    }
-
-    #[test]
-    fn star_shape() {
-        let t = star(4, 2);
-        assert_eq!(t.num_switches(), 5);
-        assert_eq!(t.num_hosts(), 8);
-        // Center is switch 0 with 4 switch neighbours and no hosts.
-        assert_eq!(t.switch_neighbors(SwitchId(0)).count(), 4);
-        assert!(t.hosts_at(SwitchId(0)).is_empty());
-        assert_eq!(t.hosts_at(SwitchId(1)).len(), 2);
-    }
-
-    #[test]
-    fn dumbbell_shape() {
-        let t = dumbbell(3, 1);
-        assert_eq!(t.num_switches(), 6);
-        assert_eq!(t.num_hosts(), 6);
-        // Clique switches: 2 in-clique links; bridge ends have 3.
-        assert_eq!(t.switch_neighbors(SwitchId(1)).count(), 2);
-        assert_eq!(t.switch_neighbors(SwitchId(0)).count(), 3);
-        assert_eq!(t.switch_neighbors(SwitchId(3)).count(), 3);
-        // Exactly one cable crosses the bisection.
-        let crossing = t
-            .link_ids()
-            .filter(|&l| {
-                let link = t.link(l);
-                match (link.a.node.as_switch(), link.b.node.as_switch()) {
-                    (Some(a), Some(b)) => (a.0 < 3) != (b.0 < 3),
-                    _ => false,
-                }
-            })
-            .count();
-        assert_eq!(crossing, 1);
-    }
-
-    #[test]
-    fn torus_shape() {
-        let t = torus2d(3, 4, 1);
-        assert_eq!(t.num_switches(), 12);
-        assert_eq!(t.num_hosts(), 12);
-        // Every switch has exactly 4 switch neighbours.
-        for s in t.switch_ids() {
-            assert_eq!(t.switch_neighbors(s).count(), 4, "{s}");
-        }
-        // 2 links per switch (east + south) = 24 inter-switch links.
-        let sw_links = t
-            .link_ids()
-            .filter(|&l| {
-                t.link(l).a.node.as_switch().is_some() && t.link(l).b.node.as_switch().is_some()
-            })
-            .count();
-        assert_eq!(sw_links, 24);
-    }
-
-    #[test]
-    fn torus_2x2_is_valid_multigraph() {
-        // On a 2-wide torus the wraparound gives parallel cables; the
-        // builder must still wire legally.
-        let t = torus2d(2, 2, 1);
-        t.validate().unwrap();
-        assert_eq!(t.num_switches(), 4);
     }
 
     #[test]

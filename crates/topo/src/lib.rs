@@ -19,7 +19,6 @@
 #![deny(unsafe_code)]
 
 pub mod builders;
-pub mod dot;
 pub mod graph;
 pub mod ids;
 pub mod partition;
