@@ -10,6 +10,11 @@
 //! round/advance/re-arm code), so throughput measured here is the flow
 //! engine's honest cost — the things the Cluster adds (GM windows, the
 //! packet fabric) are exactly what the 1024-switch scenario avoids.
+//!
+//! Set-up is one [`FlowNet::new`]: a BFS per switch into an n² `u16`
+//! predecessor matrix, 2 MiB and under 10 ms at 1024 switches, with each
+//! hop's channel read from the switch adjacency when a flow opens. No
+//! per-pair route is stored.
 
 use crate::apps::{exp_gap, other_host};
 use crate::rounds::FlowRounds;

@@ -17,7 +17,7 @@
 use crate::path::{Hop, SourceRoute, Step};
 use crate::updown::{state, unpack, DirState, UNREACHED};
 use crate::wire::EncodeError;
-use itb_topo::{HostId, SwitchId, Topology, UpDown};
+use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -72,13 +72,16 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// Hosts on every switch, in port order, gathered once per topology so
-/// neither the search nor the in-transit host choice allocates.
+/// Hosts on every switch, in port order, and every host's attachment,
+/// gathered once per topology so neither the search, the in-transit host
+/// choice nor a route's last hop allocates or walks the link table.
 #[derive(Debug)]
 pub(crate) struct SwitchHosts {
     /// `hosts[start[s]..start[s + 1]]` hang off switch `s`.
     start: Vec<usize>,
     hosts: Vec<HostId>,
+    /// `attach[h]` is host `h`'s switch and port.
+    attach: Vec<(SwitchId, PortIx)>,
 }
 
 impl SwitchHosts {
@@ -90,11 +93,21 @@ impl SwitchHosts {
             hosts.extend(topo.hosts_on(s));
             start.push(hosts.len());
         }
-        SwitchHosts { start, hosts }
+        let attach = topo.host_ids().map(|h| topo.host_attachment(h)).collect();
+        SwitchHosts {
+            start,
+            hosts,
+            attach,
+        }
     }
 
     fn at(&self, s: SwitchId) -> &[HostId] {
         &self.hosts[self.start[s.idx()]..self.start[s.idx() + 1]]
+    }
+
+    /// The switch and port host `h` hangs off.
+    pub(crate) fn attachment(&self, h: HostId) -> (SwitchId, PortIx) {
+        self.attach[h.idx()]
     }
 }
 
@@ -231,8 +244,8 @@ impl ItbPlanner {
         }
         let hosts = SwitchHosts::new(topo);
         let mut search = ItbSearch::default();
-        let stop = topo.host_attachment(dst).0;
-        search.run(topo, ud, &hosts, topo.host_attachment(src).0, Some(stop));
+        let stop = hosts.attachment(dst).0;
+        search.run(topo, ud, &hosts, hosts.attachment(src).0, Some(stop));
         let mut steps = Vec::new();
         self.steps(topo, &hosts, &search, src, dst, &mut steps)?;
         Ok(SourceRoute::from_steps(src, dst, steps))
@@ -254,7 +267,7 @@ impl ItbPlanner {
         if self.rr_cursor.len() < topo.num_switches() {
             self.rr_cursor.resize(topo.num_switches(), 0);
         }
-        let (dst_sw, dst_port) = topo.host_attachment(dst);
+        let (dst_sw, dst_port) = hosts.attachment(dst);
         let goal = search.settled[dst_sw.idx()];
         if goal == UNREACHED {
             return Err(PlannerError::Unreachable { src, dst });
@@ -277,7 +290,7 @@ impl ItbPlanner {
                 );
                 out.push(Step::Hop(Hop {
                     switch: hop.switch,
-                    out_port: topo.host_attachment(host).1,
+                    out_port: hosts.attachment(host).1,
                 }));
                 out.push(Step::Itb(host));
             }

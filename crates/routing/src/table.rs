@@ -125,7 +125,7 @@ impl RouteTable {
         let mut offsets = Vec::with_capacity(n * n + 1);
         offsets.push(0);
         for src in topo.host_ids() {
-            let src_sw = topo.host_attachment(src).0;
+            let src_sw = hosts.attachment(src).0;
             if searched != Some(src_sw) {
                 match policy {
                     RoutingPolicy::UpDown => ud_search.run(topo, Some(ud), src_sw, None),
@@ -137,7 +137,7 @@ impl RouteTable {
                 if src != dst {
                     match policy {
                         RoutingPolicy::UpDown => {
-                            if !ud_search.steps(topo, dst, &mut steps) {
+                            if !ud_search.steps(hosts.attachment(dst), &mut steps) {
                                 return Err(PlannerError::Unreachable { src, dst });
                             }
                         }

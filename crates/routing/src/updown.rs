@@ -3,7 +3,7 @@
 use crate::path::{Hop, SourceRoute, Step};
 use itb_sim::narrow;
 use itb_topo::updown::Direction;
-use itb_topo::{HostId, SwitchId, Topology, UpDown};
+use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
 use std::collections::VecDeque;
 
 /// Direction state carried along a path search.
@@ -85,10 +85,10 @@ fn direct_route(
         return None;
     }
     let mut tree = BfsTree::default();
-    let stop = topo.host_attachment(dst).0;
-    tree.run(topo, ud, topo.host_attachment(src).0, Some(stop));
+    let dst_at = topo.host_attachment(dst);
+    tree.run(topo, ud, topo.host_attachment(src).0, Some(dst_at.0));
     let mut steps = Vec::new();
-    tree.steps(topo, dst, &mut steps)
+    tree.steps(dst_at, &mut steps)
         .then(|| SourceRoute::from_steps(src, dst, steps))
 }
 
@@ -175,12 +175,16 @@ impl BfsTree {
         (goal != UNREACHED).then(|| self.dist[goal] as usize)
     }
 
-    /// Write the steps of the route from the searched switch to `dst` into
-    /// `out`, ending with the hop out to `dst`'s host link; `false` when
-    /// `dst` is unreachable. A host link carries no up/down orientation, so
-    /// that hop is allowed from any direction state.
-    pub(crate) fn steps(&self, topo: &Topology, dst: HostId, out: &mut Vec<Step>) -> bool {
-        let (dst_sw, dst_port) = topo.host_attachment(dst);
+    /// Write the steps of the route from the searched switch to the host
+    /// attached at `(dst_sw, dst_port)` into `out`, ending with the hop out
+    /// to its host link; `false` when `dst_sw` is unreachable. A host link
+    /// carries no up/down orientation, so that hop is allowed from any
+    /// direction state.
+    pub(crate) fn steps(
+        &self,
+        (dst_sw, dst_port): (SwitchId, PortIx),
+        out: &mut Vec<Step>,
+    ) -> bool {
         let mut cur = self.first[dst_sw.idx()];
         if cur == UNREACHED {
             return false;

@@ -101,12 +101,16 @@ echo "== ledger correctness (every workload matches its committed digest) =="
 # ledger/results/digests.txt) and "failed": 0. The cluster's check that
 # every NIC holding outputs was drained is a debug assertion, so this is
 # the release-build guard on the same event order.
+# The ledger's stderr is kept in $work and printed on failure: it names the
+# digest that differed from the committed one, or the panic.
 for w in pingpong_fig6_itb poisson_128sw_itb stream_64sw_updown_4k hybrid_32sw_updown flows_1024sw; do
+  err="$work/ledger_$w.err"
   out=$(cargo run --release -q --offline --manifest-path ledger/Cargo.toml -- \
-    --workload "$w" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+    --workload "$w" --seed 1 --seconds 1 --trace 0 2>"$err" | tail -n 1) ||
+    { echo "ledger $w: exited non-zero" >&2; cat "$err" >&2; exit 1; }
   case "$out" in
     *'"correct": true'*'"failed": 0,'*) echo "   $w: correct" ;;
-    *) echo "ledger $w: not correct: $out" >&2; exit 1 ;;
+    *) echo "ledger $w: not correct: $out" >&2; cat "$err" >&2; exit 1 ;;
   esac
 done
 
