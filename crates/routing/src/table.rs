@@ -247,7 +247,8 @@ impl RouteTable {
 mod tests {
     use super::*;
     use crate::wire::EncodeError;
-    use itb_topo::builders::{chain, random_irregular, ring, IrregularSpec};
+    use itb_topo::builders::{cable, chain, random_irregular, ring, IrregularSpec};
+    use itb_topo::{PortKind, SpanningTree};
 
     #[test]
     fn table_covers_all_pairs() {
@@ -329,6 +330,84 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// An 8-switch ring of 65-port switches rooted at switch 0, cabled
+    /// out of port 1 into port 0 of the next switch. Host 0 sits on switch
+    /// 3, hosts 1 and 2 on switch 5, and switch 4, the far one, carries
+    /// host 3 on port 2 and host 4 on port 64, which no route byte names.
+    /// The minimal routes 3 -> 4 -> 5 turn down->up at switch 4 and stop at
+    /// an in-transit host there.
+    fn ring_with_an_in_transit_host_past_port_63() -> (Topology, UpDown) {
+        let mut t = Topology::new();
+        let sw: Vec<SwitchId> = (0..8).map(|_| t.add_switch_uniform(65)).collect();
+        for i in 0..8 {
+            t.connect_switches(sw[i], 1, sw[(i + 1) % 8], 0, cable::SAN)
+                .unwrap();
+        }
+        for (s, port) in [(3, 2), (5, 2), (5, 3), (4, 2), (4, 64)] {
+            let h = t.add_host(PortKind::San);
+            t.connect_host(h, sw[s], port, cable::SAN).unwrap();
+        }
+        t.validate().unwrap();
+        let ud = UpDown::compute(&t, SpanningTree::compute(&t, SwitchId(0)));
+        (t, ud)
+    }
+
+    #[test]
+    fn in_transit_hosts_past_a_route_byte_are_rejected() {
+        let (t, ud) = ring_with_an_in_transit_host_past_port_63();
+        let beyond = EncodeError::Port(Hop::new(SwitchId(4), 64));
+        // Round robin stops 0 -> 1 at host 3 and 0 -> 2 at host 4; always
+        // taking host 3 first fails only at host 4 as a destination.
+        for (selection, dst) in [
+            (ItbHostSelection::RoundRobin, HostId(2)),
+            (ItbHostSelection::First, HostId(4)),
+        ] {
+            assert_eq!(
+                RouteTable::compute_with_selection(&t, &ud, RoutingPolicy::Itb, selection)
+                    .unwrap_err(),
+                PlannerError::Unencodable {
+                    src: HostId(0),
+                    dst,
+                    error: beyond,
+                },
+                "{selection:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tails_past_the_length_byte_are_rejected() {
+        // A 6-ring rooted at switch 0 with a 252-switch chain hanging off
+        // switch 4. Host 0 on switch 2 reaches host 1 at the chain's end
+        // through an in-transit host on switch 3, the ring's far switch;
+        // after that stop come 254 route bytes and the type, 256 bytes.
+        let mut t = Topology::new();
+        let sw: Vec<SwitchId> = (0..6 + 252).map(|_| t.add_switch_uniform(4)).collect();
+        for i in 0..6 {
+            t.connect_switches(sw[i], 1, sw[(i + 1) % 6], 0, cable::SAN)
+                .unwrap();
+        }
+        t.connect_switches(sw[4], 2, sw[6], 0, cable::SAN).unwrap();
+        for i in 6..sw.len() - 1 {
+            t.connect_switches(sw[i], 1, sw[i + 1], 0, cable::SAN)
+                .unwrap();
+        }
+        for (s, port) in [(2, 3), (sw.len() - 1, 2), (3, 3)] {
+            let h = t.add_host(PortKind::San);
+            t.connect_host(h, sw[s], port, cable::SAN).unwrap();
+        }
+        t.validate().unwrap();
+        let ud = UpDown::compute(&t, SpanningTree::compute(&t, SwitchId(0)));
+        assert_eq!(
+            RouteTable::compute(&t, &ud, RoutingPolicy::Itb).unwrap_err(),
+            PlannerError::Unencodable {
+                src: HostId(0),
+                dst: HostId(1),
+                error: EncodeError::Length(256),
+            }
+        );
     }
 
     #[test]
