@@ -4,7 +4,7 @@
 
 use crate::path::SourceRoute;
 use crate::table::RouteTable;
-use crate::updown::BfsTree;
+use crate::updown::{PortIndex, SwitchSearch};
 use itb_topo::{Node, SwitchId, Topology, UpDown};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -48,7 +48,8 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
 
     // Routes come source-major, so one unconstrained search per source
     // switch gives every minimal distance.
-    let mut tree = BfsTree::default();
+    let index = PortIndex::new(topo, None);
+    let mut tree = SwitchSearch::default();
     let mut searched = None;
     for route in table.iter() {
         n += 1;
@@ -59,13 +60,13 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
         if visits_switch(&route, root) {
             root_crossing += 1;
         }
-        let src_sw = topo.host_attachment(route.src).0;
+        let src_sw = index.attachment(route.src).0;
         if searched != Some(src_sw) {
-            tree.run(topo, None, src_sw, None);
+            tree.run(&index, false, src_sw, None);
             searched = Some(src_sw);
         }
         let min = tree
-            .links_to(topo.host_attachment(route.dst).0)
+            .links_to(index.attachment(route.dst).0)
             // detlint::allow(S001, route tables only exist for connected fabrics)
             .expect("connected fabric");
         if links == min {

@@ -15,11 +15,9 @@
 //! the planned route is never longer than the up\*/down\* one.
 
 use crate::path::{Hop, SourceRoute, Step};
-use crate::updown::{state, unpack, DirState, UNREACHED};
+use crate::updown::{PortIndex, SwitchSearch, UNREACHED};
 use crate::wire::EncodeError;
-use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use itb_topo::{HostId, SwitchId, Topology, UpDown};
 
 /// How the planner picks the in-transit host when a switch has several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,130 +70,6 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// Hosts on every switch, in port order, and every host's attachment,
-/// gathered once per topology so neither the search, the in-transit host
-/// choice nor a route's last hop allocates or walks the link table.
-#[derive(Debug)]
-pub(crate) struct SwitchHosts {
-    /// `hosts[start[s]..start[s + 1]]` hang off switch `s`.
-    start: Vec<usize>,
-    hosts: Vec<HostId>,
-    /// `attach[h]` is host `h`'s switch and port.
-    attach: Vec<(SwitchId, PortIx)>,
-}
-
-impl SwitchHosts {
-    pub(crate) fn new(topo: &Topology) -> Self {
-        let mut start = Vec::with_capacity(topo.num_switches() + 1);
-        let mut hosts = Vec::with_capacity(topo.num_hosts());
-        start.push(0);
-        for s in topo.switch_ids() {
-            hosts.extend(topo.hosts_on(s));
-            start.push(hosts.len());
-        }
-        let attach = topo.host_ids().map(|h| topo.host_attachment(h)).collect();
-        SwitchHosts {
-            start,
-            hosts,
-            attach,
-        }
-    }
-
-    fn at(&self, s: SwitchId) -> &[HostId] {
-        &self.hosts[self.start[s.idx()]..self.start[s.idx() + 1]]
-    }
-
-    /// The switch and port host `h` hangs off.
-    pub(crate) fn attachment(&self, h: HostId) -> (SwitchId, PortIx) {
-        self.attach[h.idx()]
-    }
-}
-
-/// `(cost=(links, itbs), fifo tie-break, state index)`.
-type HeapEntry = Reverse<((u32, u32), u64, usize)>;
-
-/// Dijkstra over `(switch, dir)` states from one source switch, with cost
-/// *(links, itbs)* and a FIFO tie-break. The result depends on the source
-/// switch only, and the buffers are reused from run to run.
-///
-/// Once a state is popped its `prev` never changes: every edge costs at
-/// least one link, so later pops carry strictly larger costs. The first
-/// state popped on a switch therefore roots the same hop list whether the
-/// search stopped there or ran on, and one full search from a source switch
-/// serves every destination an early-exit search toward it would.
-#[derive(Debug, Default)]
-pub(crate) struct ItbSearch {
-    best: Vec<(u32, u32)>,
-    /// `prev[state] = (prev_state, hop, itb_inserted_before_hop)`.
-    prev: Vec<Option<(usize, Hop, bool)>>,
-    /// First state popped on each switch, or [`UNREACHED`].
-    settled: Vec<usize>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl ItbSearch {
-    /// Search from `src_sw`; with `stop`, end at the first state popped on
-    /// that switch.
-    pub(crate) fn run(
-        &mut self,
-        topo: &Topology,
-        ud: &UpDown,
-        hosts: &SwitchHosts,
-        src_sw: SwitchId,
-        stop: Option<SwitchId>,
-    ) {
-        const INF: (u32, u32) = (u32::MAX, u32::MAX);
-        let n = topo.num_switches();
-        self.best.clear();
-        self.best.resize(n * 3, INF);
-        self.prev.clear();
-        self.prev.resize(n * 3, None);
-        self.settled.clear();
-        self.settled.resize(n, UNREACHED);
-        self.heap.clear();
-
-        let mut seq = 0u64;
-        let start = state(src_sw, DirState::Start);
-        self.best[start] = (0, 0);
-        self.heap.push(Reverse(((0, 0), seq, start)));
-        while let Some(Reverse((cost, _, st))) = self.heap.pop() {
-            if cost > self.best[st] {
-                continue;
-            }
-            let (s, d) = unpack(st);
-            if self.settled[s.idx()] == UNREACHED {
-                self.settled[s.idx()] = st;
-            }
-            if stop == Some(s) {
-                break;
-            }
-            for (port, link, nbr) in topo.switch_neighbors(s) {
-                let dir = ud.direction_from(topo, link, s, port);
-                // A forbidden down→up turn needs an in-transit host here.
-                let needs_itb = !d.step_allowed(dir);
-                if needs_itb && hosts.at(s).is_empty() {
-                    continue;
-                }
-                let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
-                let nstate = state(nbr, DirState::after(dir));
-                if ncost < self.best[nstate] {
-                    self.best[nstate] = ncost;
-                    self.prev[nstate] = Some((
-                        st,
-                        Hop {
-                            switch: s,
-                            out_port: port,
-                        },
-                        needs_itb,
-                    ));
-                    seq += 1;
-                    self.heap.push(Reverse((ncost, seq, nstate)));
-                }
-            }
-        }
-    }
-}
-
 /// The ITB route planner. Holds round-robin state, so reuse one instance
 /// while computing a whole route table.
 #[derive(Debug)]
@@ -242,12 +116,12 @@ impl ItbPlanner {
         if src == dst {
             return Err(PlannerError::SameHost(src));
         }
-        let hosts = SwitchHosts::new(topo);
-        let mut search = ItbSearch::default();
-        let stop = hosts.attachment(dst).0;
-        search.run(topo, ud, &hosts, hosts.attachment(src).0, Some(stop));
+        let index = PortIndex::new(topo, Some(ud));
+        let mut search = SwitchSearch::default();
+        let stop = index.attachment(dst).0;
+        search.run(&index, true, index.attachment(src).0, Some(stop));
         let mut steps = Vec::new();
-        self.steps(topo, &hosts, &search, src, dst, &mut steps)?;
+        self.steps(&index, &search, src, dst, &mut steps)?;
         Ok(SourceRoute::from_steps(src, dst, steps))
     }
 
@@ -257,40 +131,31 @@ impl ItbPlanner {
     /// are picked in hop order.
     pub(crate) fn steps(
         &mut self,
-        topo: &Topology,
-        hosts: &SwitchHosts,
-        search: &ItbSearch,
+        index: &PortIndex,
+        search: &SwitchSearch,
         src: HostId,
         dst: HostId,
         out: &mut Vec<Step>,
     ) -> Result<(), PlannerError> {
-        if self.rr_cursor.len() < topo.num_switches() {
-            self.rr_cursor.resize(topo.num_switches(), 0);
-        }
-        let (dst_sw, dst_port) = hosts.attachment(dst);
+        let (dst_sw, dst_port) = index.attachment(dst);
         let goal = search.settled[dst_sw.idx()];
         if goal == UNREACHED {
             return Err(PlannerError::Unreachable { src, dst });
         }
-        let path = &mut self.path;
-        path.clear();
+        self.path.clear();
         let mut cur = goal;
-        while let Some((p, hop, itb)) = search.prev[cur] {
-            path.push((hop, itb));
+        while let Some((p, hop, itb)) = search.reached[cur].from {
+            self.path.push((hop, itb));
             cur = p;
         }
         out.clear();
-        for &(hop, itb) in path.iter().rev() {
+        for i in (0..self.path.len()).rev() {
+            let (hop, itb) = self.path[i];
             if itb {
-                let host = select_itb_host(
-                    self.selection,
-                    &mut self.rr_cursor,
-                    hosts.at(hop.switch),
-                    hop.switch,
-                );
+                let host = self.pick(index, hop.switch);
                 out.push(Step::Hop(Hop {
                     switch: hop.switch,
-                    out_port: hosts.attachment(host).1,
+                    out_port: index.attachment(host).1,
                 }));
                 out.push(Step::Itb(host));
             }
@@ -302,24 +167,22 @@ impl ItbPlanner {
         }));
         Ok(())
     }
-}
 
-/// Pick the in-transit host among `hosts` (those on switch `s`) per the
-/// selection policy.
-fn select_itb_host(
-    selection: ItbHostSelection,
-    rr_cursor: &mut [usize],
-    hosts: &[HostId],
-    s: SwitchId,
-) -> HostId {
-    debug_assert!(!hosts.is_empty(), "planner only breaks at hosted switches");
-    match selection {
-        ItbHostSelection::First => hosts[0],
-        ItbHostSelection::RoundRobin => {
-            let cur = &mut rr_cursor[s.idx()];
-            let h = hosts[*cur % hosts.len()];
-            *cur = (*cur + 1) % hosts.len();
-            h
+    /// Pick the in-transit host on switch `s` per the selection policy.
+    pub(crate) fn pick(&mut self, index: &PortIndex, s: SwitchId) -> HostId {
+        let hosts = index.hosts_at(s);
+        debug_assert!(!hosts.is_empty(), "planner only breaks at hosted switches");
+        match self.selection {
+            ItbHostSelection::First => hosts[0],
+            ItbHostSelection::RoundRobin => {
+                if self.rr_cursor.len() < index.num_switches() {
+                    self.rr_cursor.resize(index.num_switches(), 0);
+                }
+                let cur = &mut self.rr_cursor[s.idx()];
+                let h = hosts[*cur % hosts.len()];
+                *cur = (*cur + 1) % hosts.len();
+                h
+            }
         }
     }
 }

@@ -9,11 +9,11 @@
 //! route byte's switch off the port wiring the table was computed on.
 
 use crate::path::{Hop, SourceRoute, Step};
-use crate::planner::{ItbHostSelection, ItbPlanner, ItbSearch, PlannerError, SwitchHosts};
-use crate::updown::BfsTree;
-use crate::wire::{append_header, fields, Field, Header};
+use crate::planner::{ItbHostSelection, ItbPlanner, PlannerError};
+use crate::updown::{Peer, PortIndex, SwitchSearch};
+use crate::wire::{append_header, fields, hop_byte, Field, Header};
 use itb_sim::narrow;
-use itb_topo::{HostId, Node, PortIx, SwitchId, Topology, UpDown};
+use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use serde::Serialize;
 
 /// Which route computation the mapper runs.
@@ -36,50 +36,9 @@ pub struct RouteTable {
     /// `src == dst`.
     bytes: Vec<u8>,
     offsets: Vec<u32>,
-    wiring: Wiring,
-}
-
-/// Where each switch port leads, and the switch each host hangs off:
-/// enough to name the switch behind every route byte of a header.
-#[derive(Debug, Clone)]
-struct Wiring {
-    host_switch: Vec<SwitchId>,
-    /// `peers[port_start[s] + p]` is the node cabled to port `p` of switch
-    /// `s`, `None` when the port is free.
-    port_start: Vec<usize>,
-    peers: Vec<Option<Node>>,
-}
-
-impl Wiring {
-    fn new(topo: &Topology) -> Self {
-        let mut port_start = Vec::with_capacity(topo.num_switches() + 1);
-        port_start.push(0);
-        for s in topo.switch_ids() {
-            port_start.push(port_start[s.idx()] + topo.switch_port_count(s));
-        }
-        let mut peers = vec![None; port_start[topo.num_switches()]];
-        for s in topo.switch_ids() {
-            for (port, _, next) in topo.switch_neighbors(s) {
-                peers[port_start[s.idx()] + port.idx()] = Some(Node::Switch(next));
-            }
-        }
-        let mut host_switch = Vec::with_capacity(topo.num_hosts());
-        for h in topo.host_ids() {
-            let (s, port) = topo.host_attachment(h);
-            peers[port_start[s.idx()] + port.idx()] = Some(Node::Host(h));
-            host_switch.push(s);
-        }
-        Wiring {
-            host_switch,
-            port_start,
-            peers,
-        }
-    }
-
-    fn peer(&self, s: SwitchId, port: PortIx) -> Option<Node> {
-        let ports = &self.peers[self.port_start[s.idx()]..self.port_start[s.idx() + 1]];
-        ports.get(port.idx()).copied().flatten()
-    }
+    /// The wiring the table was computed on: the switch behind each route
+    /// byte.
+    index: PortIndex,
 }
 
 impl RouteTable {
@@ -102,12 +61,21 @@ impl RouteTable {
     /// each source switch is searched once and every route out of it is
     /// read from that one search tree. Routes are encoded source-major,
     /// destination-minor, which keeps the round-robin in-transit host
-    /// sequence of a per-pair loop. Each is written straight into the
-    /// header arena through one reused step buffer.
+    /// sequence of a per-pair loop.
+    ///
+    /// A header's bytes depend only on the two switches too, but for two
+    /// kinds: the last route byte, which names the destination's port, and
+    /// the route byte before each `ITB | Length` group, which names the
+    /// in-transit host. The first route from a searched switch to each
+    /// destination switch is encoded into the arena in full and serves as
+    /// the template; every later one copies the template's bytes and
+    /// rewrites those, picking the in-transit hosts in hop order as the
+    /// full encode would.
     ///
     /// A route whose header cannot be encoded (a port past 63, or more
     /// than 255 header bytes after an in-transit stop) is a
-    /// [`PlannerError::Unencodable`] error.
+    /// [`PlannerError::Unencodable`] error, for the first such pair and its
+    /// first such hop.
     pub fn compute_with_selection(
         topo: &Topology,
         ud: &UpDown,
@@ -115,38 +83,67 @@ impl RouteTable {
         selection: ItbHostSelection,
     ) -> Result<RouteTable, PlannerError> {
         let n = topo.num_hosts();
-        let hosts = SwitchHosts::new(topo);
+        let index = PortIndex::new(topo, Some(ud));
         let mut planner = ItbPlanner::new(selection);
-        let mut itb_search = ItbSearch::default();
-        let mut ud_search = BfsTree::default();
+        let mut search = SwitchSearch::default();
+        // Per destination switch: the arena range of the template from the
+        // searched switch, and the range of its in-transit host bytes in
+        // `stops`, each an offset into the header and the stop's switch.
+        // An up*/down* table has no stops, an ITB table rarely more than one
+        // per destination switch.
+        let mut templates = vec![None; index.num_switches()];
+        let mut stops: Vec<(usize, SwitchId)> = Vec::with_capacity(match policy {
+            RoutingPolicy::UpDown => 0,
+            RoutingPolicy::Itb => index.num_switches(),
+        });
         let mut searched = None;
         let mut steps = Vec::new();
         let mut bytes = Vec::new();
         let mut offsets = Vec::with_capacity(n * n + 1);
         offsets.push(0);
         for src in topo.host_ids() {
-            let src_sw = hosts.attachment(src).0;
+            let src_sw = index.attachment(src).0;
             if searched != Some(src_sw) {
-                match policy {
-                    RoutingPolicy::UpDown => ud_search.run(topo, Some(ud), src_sw, None),
-                    RoutingPolicy::Itb => itb_search.run(topo, ud, &hosts, src_sw, None),
-                }
+                search.run(&index, policy == RoutingPolicy::Itb, src_sw, None);
+                templates.fill(None);
+                stops.clear();
                 searched = Some(src_sw);
             }
             for dst in topo.host_ids() {
                 if src != dst {
-                    match policy {
-                        RoutingPolicy::UpDown => {
-                            if !ud_search.steps(hosts.attachment(dst), &mut steps) {
-                                return Err(PlannerError::Unreachable { src, dst });
+                    let unencodable = |error| PlannerError::Unencodable { src, dst, error };
+                    let (dst_sw, dst_port) = index.attachment(dst);
+                    let start = bytes.len();
+                    if let Some((from, to, slots)) = templates[dst_sw.idx()].clone() {
+                        bytes.extend_from_within(from..to);
+                        let header = &mut bytes[start..];
+                        for &(at, switch) in &stops[slots] {
+                            let host = planner.pick(&index, switch);
+                            let out_port = index.attachment(host).1;
+                            header[at] = hop_byte(Hop { switch, out_port }).map_err(unencodable)?;
+                        }
+                        // The last route byte, before the two-byte type.
+                        let last = header.len() - 3;
+                        header[last] = hop_byte(Hop {
+                            switch: dst_sw,
+                            out_port: dst_port,
+                        })
+                        .map_err(unencodable)?;
+                    } else {
+                        planner.steps(&index, &search, src, dst, &mut steps)?;
+                        append_header(&mut bytes, &steps).map_err(unencodable)?;
+                        // Each hop is one byte and each stop three, and the
+                        // hop before a stop leads to its host.
+                        let first = stops.len();
+                        let mut at = 0;
+                        for pair in steps.windows(2) {
+                            if let [Step::Hop(hop), Step::Itb(_)] = *pair {
+                                stops.push((at, hop.switch));
                             }
+                            at += if let Step::Itb(_) = pair[0] { 3 } else { 1 };
                         }
-                        RoutingPolicy::Itb => {
-                            planner.steps(topo, &hosts, &itb_search, src, dst, &mut steps)?
-                        }
+                        templates[dst_sw.idx()] = Some((start, bytes.len(), first..stops.len()));
                     }
-                    append_header(&mut bytes, &steps)
-                        .map_err(|error| PlannerError::Unencodable { src, dst, error })?;
                 }
                 offsets.push(narrow(bytes.len()));
             }
@@ -157,7 +154,7 @@ impl RouteTable {
             hosts: n,
             bytes,
             offsets,
-            wiring: Wiring::new(topo),
+            index,
         })
     }
 
@@ -202,7 +199,7 @@ impl RouteTable {
     /// hop out of the switch the previous one led to, and a hop into a
     /// host before an `ITB | Length` group names the in-transit host.
     fn steps(&self, src: HostId, dst: HostId) -> impl Iterator<Item = Step> + '_ {
-        let mut at = self.wiring.host_switch[src.idx()];
+        let mut at = self.index.attachment(src).0;
         let mut ejected = src;
         fields(self.header(src, dst)).map(move |field| match field {
             Field::Route(out_port) => {
@@ -210,10 +207,10 @@ impl RouteTable {
                     switch: at,
                     out_port,
                 };
-                match self.wiring.peer(at, out_port) {
-                    Some(Node::Switch(next)) => at = next,
-                    Some(Node::Host(h)) => ejected = h,
-                    None => {}
+                match self.index.peer(at, out_port) {
+                    Peer::Switch(next, _) => at = next,
+                    Peer::Host(h) => ejected = h,
+                    Peer::Free => {}
                 }
                 Step::Hop(hop)
             }

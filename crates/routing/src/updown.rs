@@ -1,10 +1,11 @@
-//! Shortest-path computation: plain minimal and up\*/down\*-legal.
+//! Shortest-path computation: plain minimal, up\*/down\*-legal, and
+//! legalized with in-transit stops — one search over a port index.
 
-use crate::path::{Hop, SourceRoute, Step};
+use crate::path::{Hop, SourceRoute};
+use crate::planner::ItbPlanner;
 use itb_sim::narrow;
 use itb_topo::updown::Direction;
-use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
-use std::collections::VecDeque;
+use itb_topo::{Endpoint, HostId, LinkId, Node, PortIx, SwitchId, Topology, UpDown};
 
 /// Direction state carried along a path search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,9 +19,10 @@ pub(crate) enum DirState {
 }
 
 impl DirState {
-    /// Whether up\*/down\* allows the step: never down then up.
-    pub(crate) fn step_allowed(self, next: Direction) -> bool {
-        !matches!((self, next), (DirState::Down, Direction::Up))
+    /// Whether up\*/down\* allows the step into state `next`: never down
+    /// then up.
+    pub(crate) fn step_allowed(self, next: DirState) -> bool {
+        !matches!((self, next), (DirState::Down, DirState::Up))
     }
     pub(crate) fn after(next: Direction) -> DirState {
         match next {
@@ -48,6 +50,117 @@ pub(crate) fn unpack(state: usize) -> (SwitchId, DirState) {
 /// Marks a switch a search has not reached.
 pub(crate) const UNREACHED: usize = usize::MAX;
 
+/// Where a switch port leads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Peer {
+    /// Nothing is cabled to the port.
+    Free,
+    /// A host's NIC.
+    Host(HostId),
+    /// A switch (the same one over a self-loop cable), and the direction
+    /// state a packet is in after crossing the cable.
+    Switch(SwitchId, DirState),
+}
+
+/// Every switch's ports in port order, the hosts on each switch and every
+/// host's attachment, gathered once per topology: the searches, the
+/// in-transit host choice, a route's last hop and the decoding of a header
+/// read it instead of walking the link table.
+#[derive(Debug, Clone)]
+pub(crate) struct PortIndex {
+    /// `ports[start[s].0..start[s + 1].0]` are switch `s`'s ports and
+    /// `hosts[start[s].1..start[s + 1].1]` the hosts on it, in port order.
+    start: Vec<(usize, usize)>,
+    ports: Vec<Peer>,
+    hosts: Vec<HostId>,
+    /// `attach[h]` is host `h`'s switch and port.
+    attach: Vec<(SwitchId, PortIx)>,
+}
+
+impl PortIndex {
+    /// The index of `topo`. With `ud`, a cable to a switch carries the
+    /// up\*/down\* direction of leaving through it; without, every one
+    /// reads [`DirState::Start`], so no turn is forbidden.
+    pub(crate) fn new(topo: &Topology, ud: Option<&UpDown>) -> Self {
+        let n = topo.num_switches();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut end = 0;
+        for s in topo.switch_ids() {
+            start.push((end, 0));
+            end += topo.switch_port_count(s);
+        }
+        start.push((end, 0));
+        // One pass over the cables: each switch end learns its far end. A
+        // self-loop's two ends are two ports of the same switch.
+        let mut ports = vec![Peer::Free; end];
+        let mut attach = vec![(SwitchId(0), PortIx(0)); topo.num_hosts()];
+        let mut wire = |link: LinkId, near: Endpoint, far: Endpoint| {
+            let Node::Switch(s) = near.node else {
+                return;
+            };
+            ports[start[s.idx()].0 + near.port.idx()] = match far.node {
+                Node::Host(h) => {
+                    attach[h.idx()] = (s, near.port);
+                    Peer::Host(h)
+                }
+                Node::Switch(next) => {
+                    let after = ud.map_or(DirState::Start, |ud| {
+                        DirState::after(ud.direction_from(topo, link, s, near.port))
+                    });
+                    Peer::Switch(next, after)
+                }
+            };
+        };
+        for link in topo.link_ids() {
+            let l = topo.link(link);
+            wire(link, l.a, l.b);
+            wire(link, l.b, l.a);
+        }
+        let mut hosts = Vec::with_capacity(topo.num_hosts());
+        for s in 0..n {
+            start[s].1 = hosts.len();
+            for &peer in &ports[start[s].0..start[s + 1].0] {
+                if let Peer::Host(h) = peer {
+                    hosts.push(h);
+                }
+            }
+        }
+        start[n].1 = hosts.len();
+        assert_eq!(hosts.len(), topo.num_hosts(), "validated hosts are wired");
+        PortIndex {
+            start,
+            ports,
+            hosts,
+            attach,
+        }
+    }
+
+    pub(crate) fn num_switches(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Switch `s`'s ports, in port order.
+    fn ports(&self, s: SwitchId) -> &[Peer] {
+        &self.ports[self.start[s.idx()].0..self.start[s.idx() + 1].0]
+    }
+
+    /// Where port `port` of switch `s` leads; [`Peer::Free`] past its last
+    /// port.
+    pub(crate) fn peer(&self, s: SwitchId, port: PortIx) -> Peer {
+        self.ports(s).get(port.idx()).copied().unwrap_or(Peer::Free)
+    }
+
+    /// The hosts on switch `s`, in port order.
+    pub(crate) fn hosts_at(&self, s: SwitchId) -> &[HostId] {
+        &self.hosts[self.start[s.idx()].1..self.start[s.idx() + 1].1]
+    }
+
+    /// The switch and port host `h` hangs off.
+    pub(crate) fn attachment(&self, h: HostId) -> (SwitchId, PortIx) {
+        self.attach[h.idx()]
+    }
+}
+
 /// Shortest up\*/down\*-legal route between two hosts, or `None` when the
 /// hosts coincide. Up\*/down\* is connected (every pair is reachable via the
 /// spanning tree), so a route always exists for distinct hosts.
@@ -74,7 +187,8 @@ pub fn min_crossings(topo: &Topology, src: HostId, dst: HostId) -> Option<usize>
     shortest_any(topo, src, dst).map(|r| r.total_crossings())
 }
 
-/// One early-exit search from `src`'s switch toward `dst`'s.
+/// One early-exit search from `src`'s switch toward `dst`'s, without
+/// in-transit stops.
 fn direct_route(
     topo: &Topology,
     ud: Option<&UpDown>,
@@ -84,86 +198,148 @@ fn direct_route(
     if src == dst {
         return None;
     }
-    let mut tree = BfsTree::default();
-    let dst_at = topo.host_attachment(dst);
-    tree.run(topo, ud, topo.host_attachment(src).0, Some(dst_at.0));
+    let index = PortIndex::new(topo, ud);
+    let mut search = SwitchSearch::default();
+    let stop = index.attachment(dst).0;
+    search.run(&index, false, index.attachment(src).0, Some(stop));
     let mut steps = Vec::new();
-    tree.steps(dst_at, &mut steps)
-        .then(|| SourceRoute::from_steps(src, dst, steps))
+    ItbPlanner::default()
+        .steps(&index, &search, src, dst, &mut steps)
+        .ok()
+        .map(|()| SourceRoute::from_steps(src, dst, steps))
 }
 
-/// Breadth-first search over `(switch, dir)` states from one source switch,
-/// in ascending port order; with `ud` given, down→up transitions are
-/// forbidden. The buffers are reused from run to run.
+/// How a search state was first reached at its best cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reached {
+    /// *(inter-switch links, in-transit stops)* from the source.
+    pub(crate) cost: (u32, u32),
+    /// The state before, the hop out of it, and whether the packet stops
+    /// at an in-transit host before that hop; `None` at the source.
+    pub(crate) from: Option<(usize, Hop, bool)>,
+}
+
+/// The route search over `(switch, dir)` states from one source switch,
+/// in ascending port order, with cost *(inter-switch links, in-transit
+/// stops)* and first-pushed-first-popped ties. A down→up turn is taken
+/// only with `itbs`, at a switch with a host to stop at, for one more stop;
+/// without `itbs` this is a breadth-first up\*/down\* search (or a plain
+/// one, over an index built without orientation). The result depends on
+/// the source switch only, and the buffers are reused from run to run.
 ///
-/// A state's `prev` is fixed when the state is first enqueued, so the first
-/// state dequeued on a switch roots the same hop list whether the search
-/// stopped there or ran on: one full search from a source switch serves
-/// every destination.
+/// Every edge costs one link and zero or one stop, so the states of one
+/// link count are popped before any of the next, and a level is fed by two
+/// first-in-first-out queues: pushes without a stop and pushes with one.
+/// Within a level, pops come in stop order, so each queue arrives sorted
+/// by *(stops, push order)*; and a push with a stop to `k` stops came from
+/// a `k - 1`-stop state, popped before every `k`-stop state, so it precedes
+/// every stopless push to `k` stops. Popping the stop queue's front unless
+/// the other front has fewer stops is therefore the pop order of one
+/// priority queue on *(cost, push order)*. A state whose cost improved
+/// after it was pushed is skipped when its stale entry comes up.
+///
+/// Once a state is popped its `from` never changes: every edge costs at
+/// least one link, so later pops carry strictly larger costs. The first
+/// state popped on a switch therefore roots the same hop list whether the
+/// search stopped there or ran on, and one full search from a source switch
+/// serves every destination an early-exit search toward it would.
 #[derive(Debug, Default)]
-pub(crate) struct BfsTree {
-    /// `prev[state] = (prev_state, hop taken to get here)`.
-    prev: Vec<Option<(usize, Hop)>>,
-    /// Inter-switch links from the source per state; `u32::MAX` while
-    /// unvisited.
-    dist: Vec<u32>,
-    /// First state dequeued on each switch, or [`UNREACHED`].
-    first: Vec<usize>,
-    queue: VecDeque<usize>,
+pub(crate) struct SwitchSearch {
+    /// Per state: best cost so far and how it was reached.
+    pub(crate) reached: Vec<Reached>,
+    /// First state popped on each switch, or [`UNREACHED`].
+    pub(crate) settled: Vec<usize>,
+    /// Pushes without and with an in-transit stop, as `(state, stops)`.
+    plain: Vec<(usize, u32)>,
+    stopped: Vec<(usize, u32)>,
 }
 
-impl BfsTree {
-    /// Search from `src_sw`; with `stop`, end at the first state dequeued on
+impl SwitchSearch {
+    /// Search from `src_sw`; with `stop`, end at the first state popped on
     /// that switch.
     pub(crate) fn run(
         &mut self,
-        topo: &Topology,
-        ud: Option<&UpDown>,
+        index: &PortIndex,
+        itbs: bool,
         src_sw: SwitchId,
         stop: Option<SwitchId>,
     ) {
-        let n = topo.num_switches();
-        self.prev.clear();
-        self.prev.resize(n * 3, None);
-        self.dist.clear();
-        self.dist.resize(n * 3, u32::MAX);
-        self.first.clear();
-        self.first.resize(n, UNREACHED);
-        self.queue.clear();
+        let states = index.num_switches() * 3;
+        let unreached = Reached {
+            cost: (u32::MAX, u32::MAX),
+            from: None,
+        };
+        self.reached.clear();
+        self.reached.resize(states, unreached);
+        self.settled.clear();
+        self.settled.resize(index.num_switches(), UNREACHED);
+        // A state is reached at one link count only, by at most one push
+        // of each kind there, so neither queue outgrows `states`; a search
+        // without stops pushes none with one.
+        self.plain.clear();
+        self.plain.reserve(states);
+        self.stopped.clear();
+        if itbs {
+            self.stopped.reserve(states);
+        }
 
         let start = state(src_sw, DirState::Start);
-        self.dist[start] = 0;
-        self.queue.push_back(start);
-        while let Some(st) = self.queue.pop_front() {
+        self.reached[start].cost = (0, 0);
+        self.plain.push((start, 0));
+        // Read positions and the ends of the current level in both queues.
+        let (mut p, mut q, mut p_end, mut q_end) = (0, 0, 1, 0);
+        let mut links = 0;
+        loop {
+            let (st, stops) = if p < p_end && (q == q_end || self.plain[p].1 < self.stopped[q].1) {
+                p += 1;
+                self.plain[p - 1]
+            } else if q < q_end {
+                q += 1;
+                self.stopped[q - 1]
+            } else if p_end < self.plain.len() || q_end < self.stopped.len() {
+                links += 1;
+                (p_end, q_end) = (self.plain.len(), self.stopped.len());
+                continue;
+            } else {
+                break;
+            };
+            let cost = (links, stops);
+            if cost > self.reached[st].cost {
+                continue;
+            }
             let (s, d) = unpack(st);
-            if self.first[s.idx()] == UNREACHED {
-                self.first[s.idx()] = st;
+            if self.settled[s.idx()] == UNREACHED {
+                self.settled[s.idx()] = st;
             }
             if stop == Some(s) {
                 break;
             }
-            for (port, link, nbr) in topo.switch_neighbors(s) {
-                let next_d = match ud {
-                    Some(ud) => {
-                        let dir = ud.direction_from(topo, link, s, port);
-                        if !d.step_allowed(dir) {
-                            continue;
-                        }
-                        DirState::after(dir)
-                    }
-                    None => DirState::Start, // single state when unconstrained
+            for (port, &peer) in index.ports(s).iter().enumerate() {
+                let Peer::Switch(next, after) = peer else {
+                    continue;
                 };
-                let ni = state(nbr, next_d);
-                if self.dist[ni] == u32::MAX {
-                    self.dist[ni] = self.dist[st] + 1;
-                    self.prev[ni] = Some((
-                        st,
-                        Hop {
-                            switch: s,
-                            out_port: port,
-                        },
-                    ));
-                    self.queue.push_back(ni);
+                // A forbidden down→up turn needs an in-transit host here.
+                let needs_itb = !d.step_allowed(after);
+                if needs_itb && (!itbs || index.hosts_at(s).is_empty()) {
+                    continue;
+                }
+                let ncost = (links + 1, stops + u32::from(needs_itb));
+                let nst = state(next, after);
+                if ncost < self.reached[nst].cost {
+                    let hop = Hop {
+                        switch: s,
+                        out_port: PortIx(narrow(port)),
+                    };
+                    self.reached[nst] = Reached {
+                        cost: ncost,
+                        from: Some((st, hop, needs_itb)),
+                    };
+                    let queue = if needs_itb {
+                        &mut self.stopped
+                    } else {
+                        &mut self.plain
+                    };
+                    queue.push((nst, ncost.1));
                 }
             }
         }
@@ -171,35 +347,8 @@ impl BfsTree {
 
     /// Inter-switch links on the path to switch `sw`.
     pub(crate) fn links_to(&self, sw: SwitchId) -> Option<usize> {
-        let goal = self.first[sw.idx()];
-        (goal != UNREACHED).then(|| self.dist[goal] as usize)
-    }
-
-    /// Write the steps of the route from the searched switch to the host
-    /// attached at `(dst_sw, dst_port)` into `out`, ending with the hop out
-    /// to its host link; `false` when `dst_sw` is unreachable. A host link
-    /// carries no up/down orientation, so that hop is allowed from any
-    /// direction state.
-    pub(crate) fn steps(
-        &self,
-        (dst_sw, dst_port): (SwitchId, PortIx),
-        out: &mut Vec<Step>,
-    ) -> bool {
-        let mut cur = self.first[dst_sw.idx()];
-        if cur == UNREACHED {
-            return false;
-        }
-        out.clear();
-        out.push(Step::Hop(Hop {
-            switch: dst_sw,
-            out_port: dst_port,
-        }));
-        while let Some((p, hop)) = self.prev[cur] {
-            out.push(Step::Hop(hop));
-            cur = p;
-        }
-        out.reverse();
-        true
+        let goal = self.settled[sw.idx()];
+        (goal != UNREACHED).then(|| self.reached[goal].cost.0 as usize)
     }
 }
 
@@ -298,7 +447,7 @@ mod tests {
                 let link = t.link_at(hop.switch, hop.out_port).unwrap();
                 let dir = ud.direction_from(t, link, hop.switch, hop.out_port);
                 assert!(
-                    state.step_allowed(dir),
+                    state.step_allowed(DirState::after(dir)),
                     "down->up violation at {} in {r:?}",
                     hop.switch
                 );
@@ -314,6 +463,87 @@ mod tests {
         let r = shortest_updown(&tb.topo, &ud, tb.host1, tb.host2).unwrap();
         // host1 -> sw0 -> sw1 -> host2: 2 crossings.
         assert_eq!(r.total_crossings(), 2);
+    }
+
+    /// The search the level queues replaced: one binary heap on *(cost,
+    /// push order)*. Returns every state's cost and `from`, and the state
+    /// settled on each switch.
+    fn heap_search(index: &PortIndex, itbs: bool, src_sw: SwitchId) -> (Vec<Reached>, Vec<usize>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let unreached = Reached {
+            cost: (u32::MAX, u32::MAX),
+            from: None,
+        };
+        let mut reached = vec![unreached; index.num_switches() * 3];
+        let mut settled = vec![UNREACHED; index.num_switches()];
+        let mut heap = BinaryHeap::new();
+        let start = state(src_sw, DirState::Start);
+        reached[start].cost = (0, 0);
+        heap.push(Reverse(((0, 0), 0u64, start)));
+        let mut seq = 0;
+        while let Some(Reverse((cost, _, st))) = heap.pop() {
+            if cost > reached[st].cost {
+                continue;
+            }
+            let (s, d) = unpack(st);
+            if settled[s.idx()] == UNREACHED {
+                settled[s.idx()] = st;
+            }
+            for (port, &peer) in index.ports(s).iter().enumerate() {
+                let Peer::Switch(next, after) = peer else {
+                    continue;
+                };
+                let needs_itb = !d.step_allowed(after);
+                if needs_itb && (!itbs || index.hosts_at(s).is_empty()) {
+                    continue;
+                }
+                let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
+                let nst = state(next, after);
+                if ncost < reached[nst].cost {
+                    let hop = Hop::new(s, port as u8);
+                    reached[nst] = Reached {
+                        cost: ncost,
+                        from: Some((st, hop, needs_itb)),
+                    };
+                    seq += 1;
+                    heap.push(Reverse((ncost, seq, nst)));
+                }
+            }
+        }
+        (reached, settled)
+    }
+
+    #[test]
+    fn level_queues_pop_in_heap_order() {
+        let mut fabrics = vec![ring(8, 2), ring(9, 1), chain(5, 2)];
+        for (switches, seed) in [(12, 1), (16, 3), (32, 7), (64, 2)] {
+            fabrics.push(random_irregular(&IrregularSpec::evaluation_default(
+                switches, seed,
+            )));
+        }
+        let mut search = SwitchSearch::default();
+        for t in &fabrics {
+            let ud = UpDown::compute_default(t);
+            for (index, itbs) in [
+                (PortIndex::new(t, Some(&ud)), true),
+                (PortIndex::new(t, Some(&ud)), false),
+                (PortIndex::new(t, None), false),
+            ] {
+                for src in t.switch_ids() {
+                    search.run(&index, itbs, src, None);
+                    let (reached, settled) = heap_search(&index, itbs, src);
+                    let fields =
+                        |r: &[Reached]| r.iter().map(|r| (r.cost, r.from)).collect::<Vec<_>>();
+                    assert_eq!(
+                        fields(&search.reached),
+                        fields(&reached),
+                        "{src} itbs={itbs}"
+                    );
+                    assert_eq!(search.settled, settled, "{src} itbs={itbs}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,14 @@ pub fn route_byte(port: PortIx) -> u8 {
     ROUTE_TAG | port.0
 }
 
+/// The route byte of `hop`, or why it has none.
+pub(crate) fn hop_byte(hop: Hop) -> Result<u8, EncodeError> {
+    if hop.out_port.0 >= PORTS {
+        return Err(EncodeError::Port(hop));
+    }
+    Ok(route_byte(hop.out_port))
+}
+
 /// Why a route has no Figure 3 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeError {
@@ -94,10 +102,7 @@ impl<'b> HeaderWriter<'b> {
     }
 
     fn hop(&mut self, hop: Hop) -> Result<(), EncodeError> {
-        if hop.out_port.0 >= PORTS {
-            return Err(EncodeError::Port(hop));
-        }
-        self.buf[self.at] = route_byte(hop.out_port);
+        self.buf[self.at] = hop_byte(hop)?;
         self.at += 1;
         Ok(())
     }

@@ -16,7 +16,20 @@ work=$(mktemp -d)
 cp ledger/Cargo.lock "$work/ledger-Cargo.lock"
 trap 'cp "$work/ledger-Cargo.lock" ledger/Cargo.lock; rm -rf "$work"' EXIT
 
-echo "== dead dependencies (every manifest dependency is named in its sources) =="
+# Each step opens with an "== name ==" header and closes with its wall time
+# in whole seconds (bash's SECONDS), so a step that got slower shows.
+step_name=
+step_start=$SECONDS
+step() {
+  if [ -n "$step_name" ]; then
+    echo "   ($step_name: $((SECONDS - step_start)) s)"
+  fi
+  step_name=$1
+  step_start=$SECONDS
+  [ -z "$1" ] || echo "== $1 =="
+}
+
+step "dead dependencies (every manifest dependency is named in its sources)"
 # Each key under [dependencies] and [dev-dependencies] of the root manifest
 # and of every crates/*/Cargo.toml must appear as a word (`-` read as `_`)
 # in that package's .rs files; an edge no source names is dead weight.
@@ -33,16 +46,16 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
 done
 [ "$dead" = 0 ] || exit 1
 
-echo "== cargo build --release =="
+step "cargo build --release"
 cargo build --release
 
-echo "== cargo test (tier-1: root package) =="
+step "cargo test (tier-1: root package)"
 cargo test -q
 
-echo "== cargo test --workspace =="
+step "cargo test --workspace"
 cargo test --workspace -q
 
-echo "== detlint v2 (determinism & soundness analyzer, hard gate) =="
+step "detlint v2 (determinism & soundness analyzer, hard gate)"
 # Zero-dependency lex -> parse -> call-graph -> rules pipeline: default-hasher
 # maps, wall-clock/entropy/environment reads in sim code, float event-time
 # arithmetic, library unwrap/expect/panic without a stated invariant,
@@ -56,10 +69,10 @@ echo "== detlint v2 (determinism & soundness analyzer, hard gate) =="
 cargo run --release -q -p itb-lint --bin detlint -- --budget-ms 15000 --json "$work/detlint.json"
 cmp "$work/detlint.json" results/detlint.json
 
-echo "== cargo clippy (deny warnings, incl. perf lints) =="
+step "cargo clippy (deny warnings, incl. perf lints)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 
-echo "== cargo clippy --lib (strict: truncating casts, unwraps) =="
+step "cargo clippy --lib (strict: truncating casts, unwraps)"
 # Library code only: tests and benches keep unwrap ergonomics via
 # clippy.toml (allow-unwrap-in-tests) and #[cfg(test)] scoping.
 cargo clippy --lib \
@@ -67,17 +80,17 @@ cargo clippy --lib \
   -p itb-nic -p itb-gm -p itb-core -p itb-bench -p itb-lint -p itb-check \
   -- -D warnings -D clippy::cast_possible_truncation -D clippy::unwrap_used
 
-echo "== cargo fmt --check =="
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo doc (deny warnings: broken, ambiguous and private doc links) =="
+step "cargo doc (deny warnings: broken, ambiguous and private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== chaos smoke (seeded faults, exactly-once) =="
+step "chaos smoke (seeded faults, exactly-once)"
 # --strict-health makes the run a health gate: the fault schedule must stay
 # clean under the stall watchdog, buffer-leak audit and counter checks.
 ITB_RESULTS_DIR="$work/chaos_a" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
-echo "== chaos determinism (same seed twice, byte-identical artifacts) =="
+step "chaos determinism (same seed twice, byte-identical artifacts)"
 ITB_RESULTS_DIR="$work/chaos_b" cargo run --release -q -p itb-bench --bin chaos_soak -- --smoke --strict-health
 cmp "$work/chaos_a/chaos_soak.json" "$work/chaos_b/chaos_soak.json"
 # The observability artifacts are pure sim-time facts — same determinism
@@ -86,16 +99,16 @@ cmp "$work/chaos_a/chaos_soak.json" "$work/chaos_b/chaos_soak.json"
 cmp "$work/chaos_a/chaos_timeline.jsonl" "$work/chaos_b/chaos_timeline.jsonl"
 cmp "$work/chaos_a/health_report.json" "$work/chaos_b/health_report.json"
 
-echo "== health stall self-test (watchdog must flag an unroutable fabric) =="
+step "health stall self-test (watchdog must flag an unroutable fabric)"
 ITB_RESULTS_DIR="$work/stall_a" cargo run --release -q -p itb-bench --bin health_stall
-echo "== health stall determinism (same run twice, byte-identical artifacts) =="
+step "health stall determinism (same run twice, byte-identical artifacts)"
 # The only CI run where the watchdog fires: its timeline and report (with
 # the blocked set) are sim-time facts and must reproduce byte for byte.
 ITB_RESULTS_DIR="$work/stall_b" cargo run --release -q -p itb-bench --bin health_stall
 cmp "$work/stall_a/health_stall_timeline.jsonl" "$work/stall_b/health_stall_timeline.jsonl"
 cmp "$work/stall_a/health_report.json" "$work/stall_b/health_report.json"
 
-echo "== ledger correctness (every workload matches its committed digest) =="
+step "ledger correctness (every workload matches its committed digest)"
 # One short untraced ledger run per workload at seed 1. Each must report
 # "correct": true (its event, route and delivery digest equals the one in
 # ledger/results/digests.txt) and "failed": 0. The cluster's check that
@@ -114,13 +127,13 @@ for w in pingpong_fig6_itb poisson_128sw_itb stream_64sw_updown_4k hybrid_32sw_u
   esac
 done
 
-echo "== ledger unit tests (catalog vs BENCHMARK.json, traced vs untraced) =="
+step "ledger unit tests (catalog vs BENCHMARK.json, traced vs untraced)"
 # The benchmark's own tests: its workload catalog matches BENCHMARK.json,
 # a traced run reaches the same digest as an untraced one, and the record
 # and statistics code behaves.
 cargo test --release -q --offline --manifest-path ledger/Cargo.toml
 
-echo "== model check smoke (exhaustive interleavings, zero violations) =="
+step "model check smoke (exhaustive interleavings, zero violations)"
 # Depth-bounded exhaustive BFS over delivery/fault interleavings on the
 # two-host configs; any invariant violation (duplicate / reordered
 # delivery, buffer leak, silent deadlock) exits nonzero with a minimized
@@ -131,14 +144,14 @@ ITB_RESULTS_DIR="$work/mc_a" cargo run --release -q -p itb-bench --bin model_che
 ITB_RESULTS_DIR="$work/mc_b" cargo run --release -q -p itb-bench --bin model_check -- --smoke
 cmp "$work/mc_a/model_check.json" "$work/mc_b/model_check.json"
 
-echo "== full model check (fresh run equals the committed file) =="
+step "full model check (fresh run equals the committed file)"
 # The full sweep (50,243 states) at its default fault budget; its report
 # is fully deterministic, so a change to the GM, NIC or network state
 # machines that moves one explored state shows up as a diff here.
 ITB_RESULTS_DIR="$work/mc_full" cargo run --release -q -p itb-bench --bin model_check > /dev/null
 cmp "$work/mc_full/model_check.json" results/model_check.json
 
-echo "== static deadlock-freedom audit (CDG acyclicity, byte-identical) =="
+step "static deadlock-freedom audit (CDG acyclicity, byte-identical)"
 # Dally & Seitz: a route set is deadlock-free iff its channel dependency
 # graph is acyclic. Every shipped route set (fig6, gauntlet presets,
 # irregular64, a fresh 1024-switch fabric) must be acyclic; the cyclic
@@ -148,13 +161,13 @@ ITB_RESULTS_DIR="$work/dl_a" cargo run --release -q -p itb-bench --bin deadlock_
 ITB_RESULTS_DIR="$work/dl_b" cargo run --release -q -p itb-bench --bin deadlock_audit > /dev/null
 cmp "$work/dl_a/deadlock_audit.json" "$work/dl_b/deadlock_audit.json"
 
-echo "== route-dependent audit (fresh run equals the committed file) =="
+step "route-dependent audit (fresh run equals the committed file)"
 # The audit reads every route of its tables; a change to route
 # computation, encoding or decoding that moves one route shows up here as
 # a diff against results/.
 cmp "$work/dl_a/deadlock_audit.json" results/deadlock_audit.json
 
-echo "== experiment artifacts (every regenerated file equals results/) =="
+step "experiment artifacts (every regenerated file equals results/)"
 # scripts/regenerate.sh --check runs every experiment bin -- fig7/fig8 at
 # their default 100 iterations with traces, metrics and attribution, the
 # motivation, ablation, bandwidth, app-exchange and latency-breakdown
@@ -163,7 +176,7 @@ echo "== experiment artifacts (every regenerated file equals results/) =="
 # sum fails here, and the committed results cannot go stale.
 scripts/regenerate.sh --check
 
-echo "== parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest) =="
+step "parallel determinism (ITB_THREADS=1 vs 4, byte-identical digest)"
 # The sharded conservative-PDES engine must reproduce the sequential event
 # order exactly on the pdes_smoke load scenarios: the sequential reference
 # vs 4 shards, digest byte-compare. This gate runs on ANY core count — the
@@ -176,4 +189,6 @@ ITB_RESULTS_DIR="$work/par_b" ITB_THREADS=4 cargo run --release -q -p itb-bench 
 cmp "$work/par_a/pdes_smoke_digest.json" "$work/par_b/pdes_smoke_digest.json"
 cmp "$work/par_a/pdes_smoke_digest.json" results/pdes_smoke_digest.json
 
+step ""
+echo "   (total: $SECONDS s)"
 echo "CI OK"
