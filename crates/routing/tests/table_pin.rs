@@ -9,13 +9,17 @@
 //! It also checks the property the table build relies on: a header depends
 //! only on its source and destination switches, apart from the final route
 //! byte and the route byte of each in-transit host.
+//!
+//! A second digest pins the per-pair routes: every up\*/down\*, plain
+//! minimal and ITB hop list, source-major, on small and irregular fabrics.
 
 use itb_routing::figures;
-use itb_routing::planner::ItbHostSelection;
+use itb_routing::planner::{ItbHostSelection, ItbPlanner};
+use itb_routing::updown::{shortest_any, shortest_updown};
 use itb_routing::wire::{decode_route_byte, TYPE_ITB};
 use itb_routing::{RouteTable, RoutingPolicy, SourceRoute};
 use itb_sim::Digest;
-use itb_topo::builders::{cable, fig6_testbed, random_irregular, ring, IrregularSpec};
+use itb_topo::builders::{cable, chain, fig6_testbed, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, PortKind, SwitchId, Topology, UpDown};
 
 fn table(
@@ -76,6 +80,59 @@ fn benchmark_tables_are_pinned() {
     for (name, topo, policy, want) in cases {
         assert_eq!(digest(&table(&topo, policy, rr, &[])), want, "{name}");
     }
+}
+
+/// A route's endpoints and each segment's ends and hops.
+fn digest_route(d: &mut Digest, r: &SourceRoute) {
+    d.u16(r.src.0);
+    d.u16(r.dst.0);
+    d.usize(r.segments.len());
+    for seg in &r.segments {
+        d.u16(seg.from.0);
+        d.u16(seg.to.0);
+        d.usize(seg.hops.len());
+        for hop in &seg.hops {
+            d.u16(hop.switch.0);
+            d.u8(hop.out_port.0);
+        }
+    }
+}
+
+#[test]
+fn per_pair_routes_are_pinned() {
+    let mut fabrics = vec![fig6_testbed().topo, ring(8, 2), chain(5, 2)];
+    for (switches, seed) in [(16, 3), (32, 1), (64, 7)] {
+        for hosts_per_switch in [1, 3] {
+            fabrics.push(random_irregular(&IrregularSpec {
+                hosts_per_switch,
+                ..IrregularSpec::evaluation_default(switches, seed)
+            }));
+        }
+    }
+    let mut d = Digest::new();
+    for topo in &fabrics {
+        let ud = UpDown::compute_default(topo);
+        let pairs = || {
+            topo.host_ids().flat_map(|s| {
+                topo.host_ids()
+                    .filter(move |&t| t != s)
+                    .map(move |t| (s, t))
+            })
+        };
+        for (s, t) in pairs() {
+            digest_route(&mut d, &shortest_updown(topo, &ud, s, t).unwrap());
+        }
+        for (s, t) in pairs() {
+            digest_route(&mut d, &shortest_any(topo, s, t).unwrap());
+        }
+        for selection in [ItbHostSelection::First, ItbHostSelection::RoundRobin] {
+            let mut planner = ItbPlanner::new(selection);
+            for (s, t) in pairs() {
+                digest_route(&mut d, &planner.route(topo, &ud, s, t).unwrap());
+            }
+        }
+    }
+    assert_eq!(d.finish(), 11140974571671708794);
 }
 
 #[test]
