@@ -21,9 +21,8 @@
 
 use itb_routing::deadlock::ChannelDepGraph;
 use itb_routing::path::{Hop, Segment, SourceRoute};
-use itb_routing::planner::{ItbHostSelection, ItbPlanner};
+use itb_routing::planner::{ItbHostSelection, Router};
 use itb_routing::table::{RouteTable, RoutingPolicy};
-use itb_routing::updown::shortest_updown;
 use itb_topo::builders::{fig6_testbed, irregular64, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, LinkId, SwitchId, Topology, UpDown};
 use serde::Serialize;
@@ -171,19 +170,20 @@ fn audit_fresh_1024(out: &mut Vec<AuditRecord>) {
         })
         .collect();
 
-    let mut planner = ItbPlanner::new(ItbHostSelection::RoundRobin);
+    let mut router = Router::new(&topo, &ud, ItbHostSelection::RoundRobin);
     let itb_routes: Vec<SourceRoute> = pairs
         .iter()
         .map(|&(s, d)| {
-            planner
-                .route(&topo, &ud, s, d)
+            router
+                .itb(s, d)
                 .unwrap_or_else(|e| panic!("fresh1024 itb route {s:?}->{d:?}: {e:?}"))
         })
         .collect();
     let ud_routes: Vec<SourceRoute> = pairs
         .iter()
         .map(|&(s, d)| {
-            shortest_updown(&topo, &ud, s, d)
+            router
+                .updown(s, d)
                 .unwrap_or_else(|| panic!("fresh1024 updown route {s:?}->{d:?}: unreachable"))
         })
         .collect();

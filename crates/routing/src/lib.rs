@@ -1,16 +1,17 @@
 //! # itb-routing — source routes and the In-Transit Buffer planner
 //!
 //! Myrinet builds the entire path into the packet header at the source (one
-//! route byte per switch naming the output port). This crate computes those
-//! routes three ways:
+//! route byte per switch naming the output port). A [`Router`], built once
+//! per topology and up\*/down\* orientation, computes those routes three
+//! ways:
 //!
-//! * [`updown::shortest_updown`] — the stock up\*/down\* route: shortest path
-//!   that never traverses an *up* link after a *down* link;
-//! * [`updown::shortest_any`] — the true minimal path, legality ignored
-//!   (the yardstick the paper measures up\*/down\* against);
-//! * [`planner::ItbPlanner`] — the paper's contribution: a minimal path
-//!   split into up\*/down\*-legal segments by inserting **in-transit hosts**
-//!   at every forbidden down→up transition.
+//! * [`Router::updown`] — the stock up\*/down\* route: shortest path that
+//!   never traverses an *up* link after a *down* link;
+//! * [`Router::any`] — the true minimal path, legality ignored (the
+//!   yardstick the paper measures up\*/down\* against);
+//! * [`Router::itb`] — the paper's contribution: a minimal path split into
+//!   up\*/down\*-legal segments by inserting **in-transit hosts** at every
+//!   forbidden down→up transition.
 //!
 //! Supporting machinery:
 //!
@@ -38,5 +39,5 @@ pub mod updown;
 pub mod wire;
 
 pub use path::{Hop, Segment, SourceRoute};
-pub use planner::{ItbPlanner, PlannerError};
+pub use planner::{PlannerError, Router};
 pub use table::{RouteTable, RoutingPolicy};

@@ -3,8 +3,8 @@
 //! load spread.
 
 use crate::path::SourceRoute;
+use crate::planner::{ItbHostSelection, Router};
 use crate::table::RouteTable;
-use crate::updown::{PortIndex, SwitchSearch};
 use itb_topo::{Node, SwitchId, Topology, UpDown};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -46,11 +46,9 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
     // per-channel reporting deterministic by construction (detlint D001).
     let mut load: BTreeMap<(u32, bool), u64> = BTreeMap::new();
 
-    // Routes come source-major, so one unconstrained search per source
-    // switch gives every minimal distance.
-    let index = PortIndex::new(topo, None);
-    let mut tree = SwitchSearch::default();
-    let mut searched = None;
+    // Routes come source-major, so the router searches each source switch
+    // once for every minimal distance.
+    let mut router = Router::new(topo, ud, ItbHostSelection::First);
     for route in table.iter() {
         n += 1;
         let links = route_links(&route);
@@ -60,13 +58,8 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
         if visits_switch(&route, root) {
             root_crossing += 1;
         }
-        let src_sw = index.attachment(route.src).0;
-        if searched != Some(src_sw) {
-            tree.run(&index, false, src_sw, None);
-            searched = Some(src_sw);
-        }
-        let min = tree
-            .links_to(index.attachment(route.dst).0)
+        let min = router
+            .min_links(route.src, route.dst)
             // detlint::allow(S001, route tables only exist for connected fabrics)
             .expect("connected fabric");
         if links == min {

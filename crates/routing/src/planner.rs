@@ -1,4 +1,5 @@
-//! The In-Transit Buffer route planner.
+//! The route planner: one [`Router`] per topology and orientation gives
+//! up\*/down\*, plain minimal and In-Transit Buffer routes.
 //!
 //! The ITB mechanism legalizes minimal paths under up\*/down\*: wherever a
 //! minimal path needs a forbidden down→up turn at a switch, the packet is
@@ -15,7 +16,7 @@
 //! the planned route is never longer than the up\*/down\* one.
 
 use crate::path::{Hop, SourceRoute, Step};
-use crate::updown::{PortIndex, SwitchSearch, UNREACHED};
+use crate::updown::{Mode, PortIndex, SwitchSearch, UNREACHED};
 use crate::wire::EncodeError;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
 
@@ -31,7 +32,7 @@ pub enum ItbHostSelection {
     RoundRobin,
 }
 
-/// Errors from [`ItbPlanner::route`] and the route-table build.
+/// Errors from [`Router::itb`] and the route-table build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlannerError {
     /// Source and destination are the same host.
@@ -70,81 +71,123 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// The ITB route planner. Holds round-robin state, so reuse one instance
-/// while computing a whole route table.
+/// The routes of one topology under one up\*/down\* orientation. It holds
+/// the port index, one route search, the in-transit host choice and its
+/// round-robin cursor: build one per `(Topology, UpDown)` and ask it for
+/// every route.
+///
+/// Each search runs in full from the source's switch, so consecutive
+/// routes out of one switch in one mode read the same search; asking
+/// source-major is what makes a router cheap. Only [`Router::itb`] picks
+/// in-transit hosts, so only it moves the round-robin cursor.
 #[derive(Debug)]
-pub struct ItbPlanner {
+pub struct Router {
+    /// The wiring, oriented by the up\*/down\* directions.
+    pub(crate) index: PortIndex,
+    search: SwitchSearch,
+    /// The source switch and mode `search` last ran for.
+    searched: Option<(SwitchId, Mode)>,
     selection: ItbHostSelection,
-    /// Per-switch rotation cursor for [`ItbHostSelection::RoundRobin`].
+    /// Per-switch rotation cursor for [`ItbHostSelection::RoundRobin`],
+    /// allocated at the first pick.
     rr_cursor: Vec<usize>,
     /// Scratch: the hop list read back from the search, last hop first,
     /// with ITB markers.
     path: Vec<(Hop, bool)>,
 }
 
-impl ItbPlanner {
-    /// Planner with the given host-selection policy.
-    pub fn new(selection: ItbHostSelection) -> Self {
-        ItbPlanner {
+impl Router {
+    /// The router of `topo` under `ud`, picking in-transit hosts per
+    /// `selection`.
+    pub fn new(topo: &Topology, ud: &UpDown, selection: ItbHostSelection) -> Self {
+        Router {
+            index: PortIndex::new(topo, ud),
+            search: SwitchSearch::default(),
+            searched: None,
             selection,
             rr_cursor: Vec::new(),
             path: Vec::new(),
         }
     }
 
-    /// Compute the minimal-with-ITBs route from `src` to `dst`.
+    /// The shortest up\*/down\*-legal route from `src` to `dst`, or `None`
+    /// when the hosts coincide.
+    pub fn updown(&mut self, src: HostId, dst: HostId) -> Option<SourceRoute> {
+        self.route(Mode::UpDown, src, dst).ok()
+    }
+
+    /// The shortest route from `src` to `dst` with up\*/down\* legality
+    /// ignored (minimal routing), or `None` when the hosts coincide.
+    pub fn any(&mut self, src: HostId, dst: HostId) -> Option<SourceRoute> {
+        self.route(Mode::Any, src, dst).ok()
+    }
+
+    /// The minimal-with-ITBs route from `src` to `dst`.
     ///
     /// ```
-    /// use itb_routing::planner::{ItbHostSelection, ItbPlanner};
+    /// use itb_routing::planner::{ItbHostSelection, Router};
     /// use itb_topo::{builders::ring, HostId, UpDown};
     ///
     /// let topo = ring(8, 1);
     /// let ud = UpDown::compute_default(&topo);
-    /// let mut planner = ItbPlanner::new(ItbHostSelection::First);
-    /// let route = planner.route(&topo, &ud, HostId(0), HostId(4)).unwrap();
+    /// let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
+    /// let route = router.itb(HostId(0), HostId(4)).unwrap();
     /// // Minimal half-way path on an 8-ring: 4 links; up*/down* would detour.
     /// assert!(route.is_well_formed(&topo));
     /// assert_eq!(route.total_crossings(), 5 + route.itb_count());
     /// ```
-    pub fn route(
-        &mut self,
-        topo: &Topology,
-        ud: &UpDown,
-        src: HostId,
-        dst: HostId,
-    ) -> Result<SourceRoute, PlannerError> {
+    pub fn itb(&mut self, src: HostId, dst: HostId) -> Result<SourceRoute, PlannerError> {
+        self.route(Mode::Itb, src, dst)
+    }
+
+    /// Inter-switch links on a shortest path from `src`'s switch to
+    /// `dst`'s, legality ignored; `None` when none exists.
+    pub fn min_links(&mut self, src: HostId, dst: HostId) -> Option<usize> {
+        self.search_from(src, Mode::Any);
+        let goal = self.search.settled[self.index.attachment(dst).0.idx()];
+        (goal != UNREACHED).then(|| self.search.reached[goal].cost.0 as usize)
+    }
+
+    fn route(&mut self, mode: Mode, src: HostId, dst: HostId) -> Result<SourceRoute, PlannerError> {
         if src == dst {
             return Err(PlannerError::SameHost(src));
         }
-        let index = PortIndex::new(topo, Some(ud));
-        let mut search = SwitchSearch::default();
-        let stop = index.attachment(dst).0;
-        search.run(&index, true, index.attachment(src).0, Some(stop));
+        self.search_from(src, mode);
         let mut steps = Vec::new();
-        self.steps(&index, &search, src, dst, &mut steps)?;
+        self.steps(src, dst, &mut steps)?;
         Ok(SourceRoute::from_steps(src, dst, steps))
     }
 
-    /// Write the steps of the route `src → dst` into `out`, read out of
-    /// `search`, which ran from `src`'s switch. Every ITB marker becomes a
-    /// hop out to an in-transit host and the stop there; in-transit hosts
-    /// are picked in hop order.
+    /// Point the search at `src`'s switch in `mode`. It runs unless it last
+    /// ran from that switch in that mode; returns whether it ran.
+    pub(crate) fn search_from(&mut self, src: HostId, mode: Mode) -> bool {
+        let key = (self.index.attachment(src).0, mode);
+        let run = self.searched != Some(key);
+        if run {
+            self.search.run(&self.index, mode, key.0);
+            self.searched = Some(key);
+        }
+        run
+    }
+
+    /// Write the steps of the route `src → dst` into `out`, read out of the
+    /// search from `src`'s switch. Every ITB marker becomes a hop out to an
+    /// in-transit host and the stop there; in-transit hosts are picked in
+    /// hop order.
     pub(crate) fn steps(
         &mut self,
-        index: &PortIndex,
-        search: &SwitchSearch,
         src: HostId,
         dst: HostId,
         out: &mut Vec<Step>,
     ) -> Result<(), PlannerError> {
-        let (dst_sw, dst_port) = index.attachment(dst);
-        let goal = search.settled[dst_sw.idx()];
+        let (dst_sw, dst_port) = self.index.attachment(dst);
+        let goal = self.search.settled[dst_sw.idx()];
         if goal == UNREACHED {
             return Err(PlannerError::Unreachable { src, dst });
         }
         self.path.clear();
         let mut cur = goal;
-        while let Some((p, hop, itb)) = search.reached[cur].from {
+        while let Some((p, hop, itb)) = self.search.reached[cur].from {
             self.path.push((hop, itb));
             cur = p;
         }
@@ -152,10 +195,10 @@ impl ItbPlanner {
         for i in (0..self.path.len()).rev() {
             let (hop, itb) = self.path[i];
             if itb {
-                let host = self.pick(index, hop.switch);
+                let host = self.pick(hop.switch);
                 out.push(Step::Hop(Hop {
                     switch: hop.switch,
-                    out_port: index.attachment(host).1,
+                    out_port: self.index.attachment(host).1,
                 }));
                 out.push(Step::Itb(host));
             }
@@ -169,14 +212,14 @@ impl ItbPlanner {
     }
 
     /// Pick the in-transit host on switch `s` per the selection policy.
-    pub(crate) fn pick(&mut self, index: &PortIndex, s: SwitchId) -> HostId {
-        let hosts = index.hosts_at(s);
+    pub(crate) fn pick(&mut self, s: SwitchId) -> HostId {
+        let hosts = self.index.hosts_at(s);
         debug_assert!(!hosts.is_empty(), "planner only breaks at hosted switches");
         match self.selection {
             ItbHostSelection::First => hosts[0],
             ItbHostSelection::RoundRobin => {
-                if self.rr_cursor.len() < index.num_switches() {
-                    self.rr_cursor.resize(index.num_switches(), 0);
+                if self.rr_cursor.is_empty() {
+                    self.rr_cursor = vec![0; self.index.num_switches()];
                 }
                 let cur = &mut self.rr_cursor[s.idx()];
                 let h = hosts[*cur % hosts.len()];
@@ -187,16 +230,10 @@ impl ItbPlanner {
     }
 }
 
-impl Default for ItbPlanner {
-    fn default() -> Self {
-        Self::new(ItbHostSelection::First)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::updown::{min_crossings, shortest_any, shortest_updown};
+    use crate::metrics::route_links;
     use itb_topo::builders::{chain, random_irregular, ring, IrregularSpec};
     use itb_topo::updown::Direction;
     use itb_topo::SpanningTree;
@@ -219,8 +256,8 @@ mod tests {
     fn tree_topology_needs_no_itbs() {
         let t = chain(5, 1);
         let ud = UpDown::compute_default(&t);
-        let mut p = ItbPlanner::default();
-        let r = p.route(&t, &ud, HostId(0), HostId(4)).unwrap();
+        let mut p = Router::new(&t, &ud, ItbHostSelection::First);
+        let r = p.itb(HostId(0), HostId(4)).unwrap();
         assert_eq!(r.itb_count(), 0);
         assert_eq!(r.total_crossings(), 5);
         assert!(r.is_well_formed(&t));
@@ -231,24 +268,23 @@ mod tests {
         let t = ring(8, 1);
         let tree = SpanningTree::compute(&t, SwitchId(0));
         let ud = UpDown::compute(&t, tree);
-        let mut p = ItbPlanner::default();
+        let mut p = Router::new(&t, &ud, ItbHostSelection::First);
         let mut used_itb = false;
         for a in 0..8u16 {
             for b in 0..8u16 {
                 if a == b {
                     continue;
                 }
-                let r = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
+                let r = p.itb(HostId(a), HostId(b)).unwrap();
                 assert!(r.is_well_formed(&t));
                 assert_segments_legal(&t, &ud, &r);
                 // Minimal link count: inter-switch links = min distance.
-                let min_links = shortest_any(&t, HostId(a), HostId(b))
-                    .unwrap()
-                    .total_crossings()
-                    - 1;
-                let links: usize =
-                    r.segments.iter().map(|s| s.hops.len()).sum::<usize>() - 1 - r.itb_count(); // each ITB adds one extra crossing, not a link
-                assert_eq!(links, min_links, "route {a}->{b} not minimal: {r:?}");
+                let min_links = route_links(&p.any(HostId(a), HostId(b)).unwrap());
+                assert_eq!(
+                    route_links(&r),
+                    min_links,
+                    "route {a}->{b} not minimal: {r:?}"
+                );
                 used_itb |= r.itb_count() > 0;
             }
         }
@@ -260,21 +296,17 @@ mod tests {
         for seed in 0..8 {
             let t = random_irregular(&IrregularSpec::evaluation_default(16, seed));
             let ud = UpDown::compute_default(&t);
-            let mut p = ItbPlanner::default();
+            let mut p = Router::new(&t, &ud, ItbHostSelection::First);
             let hosts: Vec<_> = t.host_ids().collect();
             for &a in hosts.iter().step_by(9) {
                 for &b in hosts.iter().step_by(11) {
                     if a == b {
                         continue;
                     }
-                    let itb = p.route(&t, &ud, a, b).unwrap();
-                    let udr = shortest_updown(&t, &ud, a, b).unwrap();
-                    let itb_links: usize = itb.segments.iter().map(|s| s.hops.len()).sum::<usize>()
-                        - 1
-                        - itb.itb_count();
-                    let ud_links = udr.total_crossings() - 1;
+                    let itb = p.itb(a, b).unwrap();
+                    let udr = p.updown(a, b).unwrap();
                     assert!(
-                        itb_links <= ud_links,
+                        route_links(&itb) <= route_links(&udr),
                         "ITB route longer than UD for {a:?}->{b:?} (seed {seed})"
                     );
                     assert_segments_legal(&t, &ud, &itb);
@@ -290,18 +322,15 @@ mod tests {
         for seed in 0..8 {
             let t = random_irregular(&IrregularSpec::evaluation_default(12, seed));
             let ud = UpDown::compute_default(&t);
-            let mut p = ItbPlanner::default();
+            let mut p = Router::new(&t, &ud, ItbHostSelection::First);
             let hosts: Vec<_> = t.host_ids().collect();
             for &a in hosts.iter().step_by(7) {
                 for &b in hosts.iter().step_by(5) {
                     if a == b {
                         continue;
                     }
-                    let r = p.route(&t, &ud, a, b).unwrap();
-                    let min_links = min_crossings(&t, a, b).unwrap() - 1;
-                    let links: usize =
-                        r.segments.iter().map(|s| s.hops.len()).sum::<usize>() - 1 - r.itb_count();
-                    assert_eq!(links, min_links);
+                    let r = p.itb(a, b).unwrap();
+                    assert_eq!(Some(route_links(&r)), p.min_links(a, b));
                 }
             }
         }
@@ -311,9 +340,9 @@ mod tests {
     fn same_host_rejected() {
         let t = chain(2, 1);
         let ud = UpDown::compute_default(&t);
-        let mut p = ItbPlanner::default();
+        let mut p = Router::new(&t, &ud, ItbHostSelection::First);
         assert_eq!(
-            p.route(&t, &ud, HostId(0), HostId(0)).unwrap_err(),
+            p.itb(HostId(0), HostId(0)).unwrap_err(),
             PlannerError::SameHost(HostId(0))
         );
     }
@@ -325,7 +354,7 @@ mod tests {
         let t = ring(8, 2);
         let tree = SpanningTree::compute(&t, SwitchId(0));
         let ud = UpDown::compute(&t, tree);
-        let mut p = ItbPlanner::new(ItbHostSelection::RoundRobin);
+        let mut p = Router::new(&t, &ud, ItbHostSelection::RoundRobin);
         // Find a pair that needs an ITB.
         let mut found = None;
         'outer: for a in 0..16u16 {
@@ -333,7 +362,7 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let r = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
+                let r = p.itb(HostId(a), HostId(b)).unwrap();
                 if r.itb_count() > 0 {
                     found = Some((a, b, r.itb_hosts().next().unwrap()));
                     break 'outer;
@@ -341,10 +370,10 @@ mod tests {
             }
         }
         let (a, b, first_host) = found.expect("ring needs ITBs");
-        let second = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
+        let second = p.itb(HostId(a), HostId(b)).unwrap();
         let second_host = second.itb_hosts().next().unwrap();
         assert_ne!(first_host, second_host, "round robin should rotate");
-        let third = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
+        let third = p.itb(HostId(a), HostId(b)).unwrap();
         assert_eq!(third.itb_hosts().next().unwrap(), first_host);
     }
 
@@ -352,14 +381,14 @@ mod tests {
     fn first_policy_is_stable() {
         let t = ring(8, 2);
         let ud = UpDown::compute_default(&t);
-        let mut p = ItbPlanner::new(ItbHostSelection::First);
+        let mut p = Router::new(&t, &ud, ItbHostSelection::First);
         for a in [0u16, 3, 9] {
             for b in [5u16, 12] {
                 if a == b {
                     continue;
                 }
-                let r1 = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
-                let r2 = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
+                let r1 = p.itb(HostId(a), HostId(b)).unwrap();
+                let r2 = p.itb(HostId(a), HostId(b)).unwrap();
                 assert_eq!(r1, r2);
             }
         }
@@ -369,16 +398,82 @@ mod tests {
     fn itb_adds_exactly_one_crossing_each() {
         let t = ring(8, 1);
         let ud = UpDown::compute_default(&t);
-        let mut p = ItbPlanner::default();
+        let mut p = Router::new(&t, &ud, ItbHostSelection::First);
         for a in 0..8u16 {
             for b in 0..8u16 {
                 if a == b {
                     continue;
                 }
-                let r = p.route(&t, &ud, HostId(a), HostId(b)).unwrap();
-                let min = min_crossings(&t, HostId(a), HostId(b)).unwrap();
+                let r = p.itb(HostId(a), HostId(b)).unwrap();
+                let min = p.min_links(HostId(a), HostId(b)).unwrap() + 1;
                 assert_eq!(r.total_crossings(), min + r.itb_count(), "{a}->{b}: {r:?}");
             }
         }
+    }
+
+    /// A route of each kind, or the minimal link count.
+    #[derive(Debug, PartialEq)]
+    enum Asked {
+        UpDown(Option<SourceRoute>),
+        Any(Option<SourceRoute>),
+        Itb(SourceRoute),
+        Links(Option<usize>),
+    }
+
+    fn ask(router: &mut Router, kind: usize, a: HostId, b: HostId) -> Asked {
+        match kind % 4 {
+            0 => Asked::UpDown(router.updown(a, b)),
+            1 => Asked::Any(router.any(a, b)),
+            2 => Asked::Itb(router.itb(a, b).unwrap()),
+            _ => Asked::Links(router.min_links(a, b)),
+        }
+    }
+
+    #[test]
+    fn reused_searches_match_a_fresh_router_per_call() {
+        let t = random_irregular(&IrregularSpec::evaluation_default(32, 1));
+        let ud = UpDown::compute_default(&t);
+        let mut reused = Router::new(&t, &ud, ItbHostSelection::First);
+        for i in 0..400usize {
+            // Two calls per kind and three per source switch, each from
+            // another host on it: some calls repeat the last search, some
+            // keep its switch in another mode, some keep its mode.
+            let sw = SwitchId((i / 3 * 7 % t.num_switches()) as u16);
+            let a = t.hosts_on(sw).nth(i % 3).unwrap();
+            let b = HostId((i * 11 % t.num_hosts()) as u16);
+            if a == b {
+                continue;
+            }
+            let mut fresh = Router::new(&t, &ud, ItbHostSelection::First);
+            assert_eq!(
+                ask(&mut reused, i / 2, a, b),
+                ask(&mut fresh, i / 2, a, b),
+                "call {i}: {a}->{b}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_itb_moves_the_round_robin_cursor() {
+        let t = random_irregular(&IrregularSpec::evaluation_default(32, 1));
+        let ud = UpDown::compute_default(&t);
+        let mut alone = Router::new(&t, &ud, ItbHostSelection::RoundRobin);
+        let mut mixed = Router::new(&t, &ud, ItbHostSelection::RoundRobin);
+        let hosts: Vec<_> = t.host_ids().collect();
+        let mut stops = 0;
+        for &a in hosts.iter().step_by(5) {
+            for &b in hosts.iter().filter(|&&b| b != a) {
+                // Every kind but `itb`, from the same source first: an ITB
+                // search keyed on the switch alone would reuse that one.
+                let kind = [0, 1, 3][b.idx() % 3];
+                ask(&mut mixed, kind, a, b);
+                ask(&mut mixed, kind, hosts[(a.idx() + 7) % hosts.len()], a);
+                let want = alone.itb(a, b).unwrap();
+                stops += want.itb_count();
+                assert_eq!(mixed.itb(a, b).unwrap(), want, "{a}->{b}");
+            }
+        }
+        // Not vacuous: the cursor moved.
+        assert!(stops > 0);
     }
 }

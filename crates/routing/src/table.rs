@@ -9,8 +9,8 @@
 //! route byte's switch off the port wiring the table was computed on.
 
 use crate::path::{Hop, SourceRoute, Step};
-use crate::planner::{ItbHostSelection, ItbPlanner, PlannerError};
-use crate::updown::{Peer, PortIndex, SwitchSearch};
+use crate::planner::{ItbHostSelection, PlannerError, Router};
+use crate::updown::{Mode, Peer, PortIndex};
 use crate::wire::{append_header, fields, hop_byte, Field, Header};
 use itb_sim::narrow;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
@@ -58,10 +58,10 @@ impl RouteTable {
     /// Compute routes with an explicit in-transit host selection policy.
     ///
     /// A route depends only on its source and destination switches, so
-    /// each source switch is searched once and every route out of it is
-    /// read from that one search tree. Routes are encoded source-major,
-    /// destination-minor, which keeps the round-robin in-transit host
-    /// sequence of a per-pair loop.
+    /// one [`Router`] searches each source switch once and every route out
+    /// of it is read from that one search tree. Routes are encoded
+    /// source-major, destination-minor, which keeps the round-robin
+    /// in-transit host sequence of a per-pair loop.
     ///
     /// A header's bytes depend only on the two switches too, but for two
     /// kinds: the last route byte, which names the destination's port, and
@@ -83,43 +83,41 @@ impl RouteTable {
         selection: ItbHostSelection,
     ) -> Result<RouteTable, PlannerError> {
         let n = topo.num_hosts();
-        let index = PortIndex::new(topo, Some(ud));
-        let mut planner = ItbPlanner::new(selection);
-        let mut search = SwitchSearch::default();
+        let mut router = Router::new(topo, ud, selection);
+        let mode = match policy {
+            RoutingPolicy::UpDown => Mode::UpDown,
+            RoutingPolicy::Itb => Mode::Itb,
+        };
         // Per destination switch: the arena range of the template from the
         // searched switch, and the range of its in-transit host bytes in
         // `stops`, each an offset into the header and the stop's switch.
         // An up*/down* table has no stops, an ITB table rarely more than one
         // per destination switch.
-        let mut templates = vec![None; index.num_switches()];
+        let mut templates = vec![None; router.index.num_switches()];
         let mut stops: Vec<(usize, SwitchId)> = Vec::with_capacity(match policy {
             RoutingPolicy::UpDown => 0,
-            RoutingPolicy::Itb => index.num_switches(),
+            RoutingPolicy::Itb => router.index.num_switches(),
         });
-        let mut searched = None;
         let mut steps = Vec::new();
         let mut bytes = Vec::new();
         let mut offsets = Vec::with_capacity(n * n + 1);
         offsets.push(0);
         for src in topo.host_ids() {
-            let src_sw = index.attachment(src).0;
-            if searched != Some(src_sw) {
-                search.run(&index, policy == RoutingPolicy::Itb, src_sw, None);
+            if router.search_from(src, mode) {
                 templates.fill(None);
                 stops.clear();
-                searched = Some(src_sw);
             }
             for dst in topo.host_ids() {
                 if src != dst {
                     let unencodable = |error| PlannerError::Unencodable { src, dst, error };
-                    let (dst_sw, dst_port) = index.attachment(dst);
+                    let (dst_sw, dst_port) = router.index.attachment(dst);
                     let start = bytes.len();
                     if let Some((from, to, slots)) = templates[dst_sw.idx()].clone() {
                         bytes.extend_from_within(from..to);
                         let header = &mut bytes[start..];
                         for &(at, switch) in &stops[slots] {
-                            let host = planner.pick(&index, switch);
-                            let out_port = index.attachment(host).1;
+                            let host = router.pick(switch);
+                            let out_port = router.index.attachment(host).1;
                             header[at] = hop_byte(Hop { switch, out_port }).map_err(unencodable)?;
                         }
                         // The last route byte, before the two-byte type.
@@ -130,7 +128,7 @@ impl RouteTable {
                         })
                         .map_err(unencodable)?;
                     } else {
-                        planner.steps(&index, &search, src, dst, &mut steps)?;
+                        router.steps(src, dst, &mut steps)?;
                         append_header(&mut bytes, &steps).map_err(unencodable)?;
                         // Each hop is one byte and each stop three, and the
                         // hop before a stop leads to its host.
@@ -154,7 +152,7 @@ impl RouteTable {
             hosts: n,
             bytes,
             offsets,
-            index,
+            index: router.index,
         })
     }
 

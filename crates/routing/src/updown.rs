@@ -2,7 +2,7 @@
 //! legalized with in-transit stops — one search over a port index.
 
 use crate::path::{Hop, SourceRoute};
-use crate::planner::ItbPlanner;
+use crate::planner::{ItbHostSelection, Router};
 use itb_sim::narrow;
 use itb_topo::updown::Direction;
 use itb_topo::{Endpoint, HostId, LinkId, Node, PortIx, SwitchId, Topology, UpDown};
@@ -63,9 +63,9 @@ pub(crate) enum Peer {
 }
 
 /// Every switch's ports in port order, the hosts on each switch and every
-/// host's attachment, gathered once per topology: the searches, the
-/// in-transit host choice, a route's last hop and the decoding of a header
-/// read it instead of walking the link table.
+/// host's attachment, gathered once per topology and orientation: the
+/// searches, the in-transit host choice, a route's last hop and the
+/// decoding of a header read it instead of walking the link table.
 #[derive(Debug, Clone)]
 pub(crate) struct PortIndex {
     /// `ports[start[s].0..start[s + 1].0]` are switch `s`'s ports and
@@ -78,10 +78,9 @@ pub(crate) struct PortIndex {
 }
 
 impl PortIndex {
-    /// The index of `topo`. With `ud`, a cable to a switch carries the
-    /// up\*/down\* direction of leaving through it; without, every one
-    /// reads [`DirState::Start`], so no turn is forbidden.
-    pub(crate) fn new(topo: &Topology, ud: Option<&UpDown>) -> Self {
+    /// The index of `topo`: a cable to a switch carries the up\*/down\*
+    /// direction of leaving through it under `ud`.
+    pub(crate) fn new(topo: &Topology, ud: &UpDown) -> Self {
         let n = topo.num_switches();
         let mut start = Vec::with_capacity(n + 1);
         let mut end = 0;
@@ -103,12 +102,10 @@ impl PortIndex {
                     attach[h.idx()] = (s, near.port);
                     Peer::Host(h)
                 }
-                Node::Switch(next) => {
-                    let after = ud.map_or(DirState::Start, |ud| {
-                        DirState::after(ud.direction_from(topo, link, s, near.port))
-                    });
-                    Peer::Switch(next, after)
-                }
+                Node::Switch(next) => Peer::Switch(
+                    next,
+                    DirState::after(ud.direction_from(topo, link, s, near.port)),
+                ),
             };
         };
         for link in topo.link_ids() {
@@ -168,45 +165,28 @@ impl PortIndex {
 /// Exploration follows ascending port order, so the result is a
 /// deterministic function of the wiring — mirroring the deterministic route
 /// choice of the GM mapper.
+///
+/// This prepares a [`Router`] for the one route; a loop over pairs builds
+/// one `Router` and asks it for each.
 pub fn shortest_updown(
     topo: &Topology,
     ud: &UpDown,
     src: HostId,
     dst: HostId,
 ) -> Option<SourceRoute> {
-    direct_route(topo, Some(ud), src, dst)
+    Router::new(topo, ud, ItbHostSelection::First).updown(src, dst)
 }
 
-/// Shortest route ignoring up\*/down\* legality (minimal routing).
-pub fn shortest_any(topo: &Topology, src: HostId, dst: HostId) -> Option<SourceRoute> {
-    direct_route(topo, None, src, dst)
-}
-
-/// Minimal number of switch crossings between two hosts, ignoring legality.
-pub fn min_crossings(topo: &Topology, src: HostId, dst: HostId) -> Option<usize> {
-    shortest_any(topo, src, dst).map(|r| r.total_crossings())
-}
-
-/// One early-exit search from `src`'s switch toward `dst`'s, without
-/// in-transit stops.
-fn direct_route(
-    topo: &Topology,
-    ud: Option<&UpDown>,
-    src: HostId,
-    dst: HostId,
-) -> Option<SourceRoute> {
-    if src == dst {
-        return None;
-    }
-    let index = PortIndex::new(topo, ud);
-    let mut search = SwitchSearch::default();
-    let stop = index.attachment(dst).0;
-    search.run(&index, false, index.attachment(src).0, Some(stop));
-    let mut steps = Vec::new();
-    ItbPlanner::default()
-        .steps(&index, &search, src, dst, &mut steps)
-        .ok()
-        .map(|()| SourceRoute::from_steps(src, dst, steps))
+/// Which turns a search may take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Up\*/down\* only: never down then up.
+    UpDown,
+    /// A down→up turn too, at a switch with a host to stop at, for one
+    /// more in-transit stop.
+    Itb,
+    /// Every turn: the plain minimal path, legality ignored.
+    Any,
 }
 
 /// How a search state was first reached at its best cost.
@@ -221,11 +201,15 @@ pub(crate) struct Reached {
 
 /// The route search over `(switch, dir)` states from one source switch,
 /// in ascending port order, with cost *(inter-switch links, in-transit
-/// stops)* and first-pushed-first-popped ties. A down→up turn is taken
-/// only with `itbs`, at a switch with a host to stop at, for one more stop;
-/// without `itbs` this is a breadth-first up\*/down\* search (or a plain
-/// one, over an index built without orientation). The result depends on
-/// the source switch only, and the buffers are reused from run to run.
+/// stops)* and first-pushed-first-popped ties. The [`Mode`] says which
+/// turns it takes: [`Mode::UpDown`] and [`Mode::Any`] are breadth-first
+/// searches, and only [`Mode::Itb`] takes a down→up turn, for one more
+/// stop. The result depends on the source switch and mode only, and the
+/// buffers are reused from run to run.
+///
+/// [`Mode::Any`] runs on the oriented index too: a switch's second
+/// direction state pushes exactly the `(next, after)` states its first one
+/// pushed, at no lower cost, so it adds nothing to the first one's routes.
 ///
 /// Every edge costs one link and zero or one stop, so the states of one
 /// link count are popped before any of the next, and a level is fed by two
@@ -237,12 +221,6 @@ pub(crate) struct Reached {
 /// the other front has fewer stops is therefore the pop order of one
 /// priority queue on *(cost, push order)*. A state whose cost improved
 /// after it was pushed is skipped when its stale entry comes up.
-///
-/// Once a state is popped its `from` never changes: every edge costs at
-/// least one link, so later pops carry strictly larger costs. The first
-/// state popped on a switch therefore roots the same hop list whether the
-/// search stopped there or ran on, and one full search from a source switch
-/// serves every destination an early-exit search toward it would.
 #[derive(Debug, Default)]
 pub(crate) struct SwitchSearch {
     /// Per state: best cost so far and how it was reached.
@@ -255,15 +233,8 @@ pub(crate) struct SwitchSearch {
 }
 
 impl SwitchSearch {
-    /// Search from `src_sw`; with `stop`, end at the first state popped on
-    /// that switch.
-    pub(crate) fn run(
-        &mut self,
-        index: &PortIndex,
-        itbs: bool,
-        src_sw: SwitchId,
-        stop: Option<SwitchId>,
-    ) {
+    /// Search every switch from `src_sw`.
+    pub(crate) fn run(&mut self, index: &PortIndex, mode: Mode, src_sw: SwitchId) {
         let states = index.num_switches() * 3;
         let unreached = Reached {
             cost: (u32::MAX, u32::MAX),
@@ -279,7 +250,7 @@ impl SwitchSearch {
         self.plain.clear();
         self.plain.reserve(states);
         self.stopped.clear();
-        if itbs {
+        if mode == Mode::Itb {
             self.stopped.reserve(states);
         }
 
@@ -311,16 +282,13 @@ impl SwitchSearch {
             if self.settled[s.idx()] == UNREACHED {
                 self.settled[s.idx()] = st;
             }
-            if stop == Some(s) {
-                break;
-            }
             for (port, &peer) in index.ports(s).iter().enumerate() {
                 let Peer::Switch(next, after) = peer else {
                     continue;
                 };
                 // A forbidden down→up turn needs an in-transit host here.
-                let needs_itb = !d.step_allowed(after);
-                if needs_itb && (!itbs || index.hosts_at(s).is_empty()) {
+                let needs_itb = mode != Mode::Any && !d.step_allowed(after);
+                if needs_itb && (mode != Mode::Itb || index.hosts_at(s).is_empty()) {
                     continue;
                 }
                 let ncost = (links + 1, stops + u32::from(needs_itb));
@@ -344,19 +312,18 @@ impl SwitchSearch {
             }
         }
     }
-
-    /// Inter-switch links on the path to switch `sw`.
-    pub(crate) fn links_to(&self, sw: SwitchId) -> Option<usize> {
-        let goal = self.settled[sw.idx()];
-        (goal != UNREACHED).then(|| self.reached[goal].cost.0 as usize)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::route_links;
     use itb_topo::builders::{chain, fig6_testbed, random_irregular, ring, IrregularSpec};
     use itb_topo::{HostId, SpanningTree};
+
+    fn router(t: &Topology, ud: &UpDown) -> Router {
+        Router::new(t, ud, ItbHostSelection::First)
+    }
 
     #[test]
     fn chain_routes_are_minimal_and_legal() {
@@ -366,7 +333,7 @@ mod tests {
         let r = shortest_updown(&t, &ud, HostId(0), HostId(3)).unwrap();
         assert_eq!(r.total_crossings(), 4);
         assert!(r.is_well_formed(&t));
-        let m = shortest_any(&t, HostId(0), HostId(3)).unwrap();
+        let m = router(&t, &ud).any(HostId(0), HostId(3)).unwrap();
         assert_eq!(m.total_crossings(), 4);
     }
 
@@ -375,7 +342,7 @@ mod tests {
         let t = chain(2, 1);
         let ud = UpDown::compute_default(&t);
         assert!(shortest_updown(&t, &ud, HostId(0), HostId(0)).is_none());
-        assert!(shortest_any(&t, HostId(0), HostId(0)).is_none());
+        assert!(router(&t, &ud).any(HostId(0), HostId(0)).is_none());
     }
 
     #[test]
@@ -399,14 +366,15 @@ mod tests {
         let t = ring(6, 1);
         let tree = SpanningTree::compute(&t, SwitchId(0));
         let ud = UpDown::compute(&t, tree);
+        let mut router = router(&t, &ud);
         let mut detours = 0;
         for a in 0..6u16 {
             for b in 0..6u16 {
                 if a == b {
                     continue;
                 }
-                let udr = shortest_updown(&t, &ud, HostId(a), HostId(b)).unwrap();
-                let min = shortest_any(&t, HostId(a), HostId(b)).unwrap();
+                let udr = router.updown(HostId(a), HostId(b)).unwrap();
+                let min = router.any(HostId(a), HostId(b)).unwrap();
                 assert!(udr.is_well_formed(&t));
                 assert!(udr.total_crossings() >= min.total_crossings());
                 if udr.total_crossings() > min.total_crossings() {
@@ -425,13 +393,14 @@ mod tests {
         for seed in 0..5 {
             let t = random_irregular(&IrregularSpec::evaluation_default(12, seed));
             let ud = UpDown::compute_default(&t);
+            let mut router = router(&t, &ud);
             let hosts: Vec<_> = t.host_ids().collect();
             for &a in hosts.iter().step_by(5) {
                 for &b in hosts.iter().step_by(7) {
                     if a == b {
                         continue;
                     }
-                    let r = shortest_updown(&t, &ud, a, b).expect("up*/down* is connected");
+                    let r = router.updown(a, b).expect("up*/down* is connected");
                     assert!(r.is_well_formed(&t), "{a:?}->{b:?} seed {seed}");
                     assert_updown_legal(&t, &ud, &r);
                 }
@@ -440,7 +409,7 @@ mod tests {
     }
 
     /// Asserts every segment of `r` obeys the up*/down* rule.
-    pub(crate) fn assert_updown_legal(t: &Topology, ud: &UpDown, r: &SourceRoute) {
+    fn assert_updown_legal(t: &Topology, ud: &UpDown, r: &SourceRoute) {
         for seg in &r.segments {
             let mut state = DirState::Start;
             for hop in &seg.hops[..seg.hops.len() - 1] {
@@ -468,7 +437,7 @@ mod tests {
     /// The search the level queues replaced: one binary heap on *(cost,
     /// push order)*. Returns every state's cost and `from`, and the state
     /// settled on each switch.
-    fn heap_search(index: &PortIndex, itbs: bool, src_sw: SwitchId) -> (Vec<Reached>, Vec<usize>) {
+    fn heap_search(index: &PortIndex, mode: Mode, src_sw: SwitchId) -> (Vec<Reached>, Vec<usize>) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let unreached = Reached {
@@ -494,8 +463,8 @@ mod tests {
                 let Peer::Switch(next, after) = peer else {
                     continue;
                 };
-                let needs_itb = !d.step_allowed(after);
-                if needs_itb && (!itbs || index.hosts_at(s).is_empty()) {
+                let needs_itb = mode != Mode::Any && !d.step_allowed(after);
+                if needs_itb && (mode != Mode::Itb || index.hosts_at(s).is_empty()) {
                     continue;
                 }
                 let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
@@ -514,48 +483,73 @@ mod tests {
         (reached, settled)
     }
 
-    #[test]
-    fn level_queues_pop_in_heap_order() {
+    fn search_fabrics() -> Vec<Topology> {
         let mut fabrics = vec![ring(8, 2), ring(9, 1), chain(5, 2)];
         for (switches, seed) in [(12, 1), (16, 3), (32, 7), (64, 2)] {
             fabrics.push(random_irregular(&IrregularSpec::evaluation_default(
                 switches, seed,
             )));
         }
+        fabrics
+    }
+
+    #[test]
+    fn level_queues_pop_in_heap_order() {
         let mut search = SwitchSearch::default();
-        for t in &fabrics {
-            let ud = UpDown::compute_default(t);
-            for (index, itbs) in [
-                (PortIndex::new(t, Some(&ud)), true),
-                (PortIndex::new(t, Some(&ud)), false),
-                (PortIndex::new(t, None), false),
-            ] {
+        for t in &search_fabrics() {
+            let index = PortIndex::new(t, &UpDown::compute_default(t));
+            for mode in [Mode::Itb, Mode::UpDown, Mode::Any] {
                 for src in t.switch_ids() {
-                    search.run(&index, itbs, src, None);
-                    let (reached, settled) = heap_search(&index, itbs, src);
+                    search.run(&index, mode, src);
+                    let (reached, settled) = heap_search(&index, mode, src);
                     let fields =
                         |r: &[Reached]| r.iter().map(|r| (r.cost, r.from)).collect::<Vec<_>>();
-                    assert_eq!(
-                        fields(&search.reached),
-                        fields(&reached),
-                        "{src} itbs={itbs}"
-                    );
-                    assert_eq!(search.settled, settled, "{src} itbs={itbs}");
+                    assert_eq!(fields(&search.reached), fields(&reached), "{src} {mode:?}");
+                    assert_eq!(search.settled, settled, "{src} {mode:?}");
                 }
             }
         }
     }
 
+    /// Breadth-first switch distances from `src` over the cabling alone.
+    fn bfs_distances(t: &Topology, src: SwitchId) -> Vec<Option<usize>> {
+        let mut dist = vec![None; t.num_switches()];
+        dist[src.idx()] = Some(0);
+        let mut queue = std::collections::VecDeque::from([src]);
+        while let Some(s) = queue.pop_front() {
+            let next = dist[s.idx()].map(|d| d + 1);
+            for (_, _, n) in t.switch_neighbors(s) {
+                if dist[n.idx()].is_none() {
+                    dist[n.idx()] = next;
+                    queue.push_back(n);
+                }
+            }
+        }
+        dist
+    }
+
     #[test]
-    fn min_crossings_matches_shortest_any() {
-        let t = ring(5, 1);
-        assert_eq!(
-            min_crossings(&t, HostId(0), HostId(2)),
-            Some(
-                shortest_any(&t, HostId(0), HostId(2))
-                    .unwrap()
-                    .total_crossings()
-            )
-        );
+    fn any_links_are_breadth_first_distances() {
+        for t in &search_fabrics() {
+            let ud = UpDown::compute_default(t);
+            let mut router = router(t, &ud);
+            // One host per switch: every fabric here hosts on each one.
+            let hosts: Vec<HostId> = t
+                .switch_ids()
+                .map(|s| t.hosts_on(s).next().unwrap())
+                .collect();
+            for &a in &hosts {
+                let dist = bfs_distances(t, t.host_attachment(a).0);
+                for &b in &hosts {
+                    let want = dist[t.host_attachment(b).0.idx()];
+                    assert_eq!(router.min_links(a, b), want, "{a}->{b}");
+                    if a != b {
+                        let r = router.any(a, b).unwrap();
+                        assert_eq!(Some(route_links(&r)), want, "{a}->{b}");
+                        assert!(r.is_well_formed(t));
+                    }
+                }
+            }
+        }
     }
 }

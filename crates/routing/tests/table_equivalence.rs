@@ -1,21 +1,21 @@
 //! A route table is built from one search per source switch and stored
-//! as encoded headers. It must equal the per-pair planner run over every
-//! ordered pair in the same source-major order, round-robin in-transit host
-//! choice included: each pair's header bytes are `Header::encode` of the
-//! per-pair route, and the route decoded from them is that route.
+//! as encoded headers, most of them patched copies of a template. It must
+//! equal a `Router` asked for every ordered pair in the same source-major
+//! order, round-robin in-transit host choice included: each pair's header
+//! bytes are `Header::encode` of the router's route, and the route decoded
+//! from them is that route.
 
 use itb_routing::figures;
 use itb_routing::metrics::route_links;
-use itb_routing::planner::{ItbHostSelection, ItbPlanner};
-use itb_routing::updown::{min_crossings, shortest_updown};
+use itb_routing::planner::ItbHostSelection;
 use itb_routing::wire::Header;
-use itb_routing::{RouteTable, RoutingPolicy, SourceRoute};
+use itb_routing::{RouteTable, Router, RoutingPolicy, SourceRoute};
 use itb_topo::builders::{cable, chain, fig6_testbed, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, PortKind, SwitchId, Topology, UpDown};
 
 const SELECTIONS: [ItbHostSelection; 2] = [ItbHostSelection::First, ItbHostSelection::RoundRobin];
 
-/// The table with `overrides` installed, and the per-pair routes in (src,
+/// The table with `overrides` installed, and the router's routes in (src,
 /// dst) order with the same overrides in their place.
 fn both_ways(
     topo: &Topology,
@@ -28,13 +28,13 @@ fn both_ways(
     for r in overrides {
         table.set_route(r.clone());
     }
-    let mut planner = ItbPlanner::new(selection);
+    let mut router = Router::new(topo, ud, selection);
     let mut pairs = Vec::new();
     for s in topo.host_ids() {
         for d in topo.host_ids().filter(|&d| d != s) {
             let r = match policy {
-                RoutingPolicy::UpDown => shortest_updown(topo, ud, s, d).unwrap(),
-                RoutingPolicy::Itb => planner.route(topo, ud, s, d).unwrap(),
+                RoutingPolicy::UpDown => router.updown(s, d).unwrap(),
+                RoutingPolicy::Itb => router.itb(s, d).unwrap(),
             };
             let over = overrides.iter().find(|o| (o.src, o.dst) == (s, d));
             pairs.push(over.cloned().unwrap_or(r));
@@ -143,30 +143,11 @@ fn hostless_switches_table_matches_per_pair_routes() {
     assert_eq!(ud.tree().root(), SwitchId(0));
     let table = RouteTable::compute(&topo, &ud, RoutingPolicy::Itb).unwrap();
     assert!(table.iter().any(|r| r.itb_count() > 0));
+    let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
     assert!(
         table
             .iter()
-            .any(|r| route_links(&r) + 1 > min_crossings(&topo, r.src, r.dst).unwrap()),
+            .any(|r| Some(route_links(&r)) > router.min_links(r.src, r.dst)),
         "a host-less violating switch must force a longer route somewhere"
     );
-}
-
-#[test]
-fn early_stop_route_matches_full_tree_route() {
-    // A fresh First planner per pair: `route` stops its search at the
-    // destination switch, while the table reads the same pair from a full
-    // search of the source switch.
-    let topo = random_irregular(&IrregularSpec::evaluation_default(24, 5));
-    let ud = UpDown::compute_default(&topo);
-    let table =
-        RouteTable::compute_with_selection(&topo, &ud, RoutingPolicy::Itb, ItbHostSelection::First)
-            .unwrap();
-    for s in topo.host_ids() {
-        for d in topo.host_ids().filter(|&d| d != s) {
-            let alone = ItbPlanner::new(ItbHostSelection::First)
-                .route(&topo, &ud, s, d)
-                .unwrap();
-            assert_eq!(table.route(s, d), Some(alone), "{s}->{d}");
-        }
-    }
 }

@@ -1,8 +1,8 @@
 //! Pins the bytes of the route tables the benchmark and the experiments
 //! build: one digest over every pair's header, source-major, for the three
 //! irregular packet fabrics and the Figure 6 testbed with its Figure 8
-//! overrides. `table_equivalence` checks the table against the per-pair
-//! planner but stops at 64 switches; this covers the 128-switch ITB table
+//! overrides. `table_equivalence` checks the table against a `Router` asked
+//! pair by pair but stops at 64 switches; this covers the 128-switch ITB table
 //! cheaply, and any change to route choice, in-transit host rotation or
 //! encoding moves a constant here.
 //!
@@ -14,10 +14,9 @@
 //! minimal and ITB hop list, source-major, on small and irregular fabrics.
 
 use itb_routing::figures;
-use itb_routing::planner::{ItbHostSelection, ItbPlanner};
-use itb_routing::updown::{shortest_any, shortest_updown};
+use itb_routing::planner::ItbHostSelection;
 use itb_routing::wire::{decode_route_byte, TYPE_ITB};
-use itb_routing::{RouteTable, RoutingPolicy, SourceRoute};
+use itb_routing::{RouteTable, Router, RoutingPolicy, SourceRoute};
 use itb_sim::Digest;
 use itb_topo::builders::{cable, chain, fig6_testbed, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, PortKind, SwitchId, Topology, UpDown};
@@ -119,16 +118,17 @@ fn per_pair_routes_are_pinned() {
                     .map(move |t| (s, t))
             })
         };
+        let mut router = Router::new(topo, &ud, ItbHostSelection::First);
         for (s, t) in pairs() {
-            digest_route(&mut d, &shortest_updown(topo, &ud, s, t).unwrap());
+            digest_route(&mut d, &router.updown(s, t).unwrap());
         }
         for (s, t) in pairs() {
-            digest_route(&mut d, &shortest_any(topo, s, t).unwrap());
+            digest_route(&mut d, &router.any(s, t).unwrap());
         }
         for selection in [ItbHostSelection::First, ItbHostSelection::RoundRobin] {
-            let mut planner = ItbPlanner::new(selection);
+            let mut router = Router::new(topo, &ud, selection);
             for (s, t) in pairs() {
-                digest_route(&mut d, &planner.route(topo, &ud, s, t).unwrap());
+                digest_route(&mut d, &router.itb(s, t).unwrap());
             }
         }
     }

@@ -4,7 +4,8 @@
 //! Run with: `cargo run --release --example irregular_cluster [switches] [seed]`
 
 use itb_myrinet::routing::metrics::{analyze, route_links};
-use itb_myrinet::routing::{RouteTable, RoutingPolicy};
+use itb_myrinet::routing::planner::ItbHostSelection;
+use itb_myrinet::routing::{RouteTable, Router, RoutingPolicy};
 use itb_myrinet::topo::builders::{random_irregular, IrregularSpec};
 use itb_myrinet::topo::UpDown;
 
@@ -46,12 +47,10 @@ fn main() {
     // Show one concrete route pair for intuition.
     let table_ud = RouteTable::compute(&topo, &ud, RoutingPolicy::UpDown).unwrap();
     let table_itb = RouteTable::compute(&topo, &ud, RoutingPolicy::Itb).unwrap();
+    let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
     let worst = table_ud
         .iter()
-        .max_by_key(|r| {
-            let min = itb_myrinet::routing::updown::min_crossings(&topo, r.src, r.dst).unwrap() - 1;
-            route_links(r) - min
-        })
+        .max_by_key(|r| route_links(r) - router.min_links(r.src, r.dst).unwrap())
         .unwrap();
     let itb_alt = table_itb.route(worst.src, worst.dst).unwrap();
     println!();

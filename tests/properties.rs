@@ -2,10 +2,9 @@
 
 use itb_myrinet::routing::deadlock::ChannelDepGraph;
 use itb_myrinet::routing::metrics::route_links;
-use itb_myrinet::routing::planner::{ItbHostSelection, ItbPlanner};
-use itb_myrinet::routing::updown::{min_crossings, shortest_updown};
+use itb_myrinet::routing::planner::ItbHostSelection;
 use itb_myrinet::routing::wire::{decode_segments, Header};
-use itb_myrinet::routing::{RouteTable, RoutingPolicy};
+use itb_myrinet::routing::{RouteTable, Router, RoutingPolicy};
 use itb_myrinet::topo::builders::{random_irregular, ring, IrregularSpec};
 use itb_myrinet::topo::updown::Direction;
 use itb_myrinet::topo::{HostId, Topology, UpDown};
@@ -45,15 +44,16 @@ proptest! {
     fn updown_routes_always_legal((switches, seed) in net_spec()) {
         let topo = random_irregular(&IrregularSpec::evaluation_default(switches, seed));
         let ud = UpDown::compute_default(&topo);
+        let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
         let hosts: Vec<_> = topo.host_ids().collect();
         for &a in hosts.iter().step_by(5) {
             for &b in hosts.iter().step_by(7) {
                 if a == b { continue; }
-                let r = shortest_updown(&topo, &ud, a, b).expect("connected");
+                let r = router.updown(a, b).expect("connected");
                 prop_assert!(r.is_well_formed(&topo));
                 prop_assert!(segments_updown_legal(&topo, &ud, &r));
-                let min = min_crossings(&topo, a, b).unwrap();
-                prop_assert!(r.total_crossings() >= min);
+                let min_links = router.min_links(a, b).unwrap();
+                prop_assert!(route_links(&r) >= min_links);
             }
         }
     }
@@ -64,15 +64,15 @@ proptest! {
     fn planner_routes_minimal_and_legal((switches, seed) in net_spec()) {
         let topo = random_irregular(&IrregularSpec::evaluation_default(switches, seed));
         let ud = UpDown::compute_default(&topo);
-        let mut planner = ItbPlanner::new(ItbHostSelection::First);
+        let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
         let hosts: Vec<_> = topo.host_ids().collect();
         for &a in hosts.iter().step_by(6) {
             for &b in hosts.iter().step_by(9) {
                 if a == b { continue; }
-                let r = planner.route(&topo, &ud, a, b).unwrap();
+                let r = router.itb(a, b).unwrap();
                 prop_assert!(r.is_well_formed(&topo));
                 prop_assert!(segments_updown_legal(&topo, &ud, &r));
-                let min_links = min_crossings(&topo, a, b).unwrap() - 1;
+                let min_links = router.min_links(a, b).unwrap();
                 prop_assert_eq!(route_links(&r), min_links);
                 prop_assert_eq!(r.total_crossings(), min_links + 1 + r.itb_count());
             }
@@ -101,8 +101,8 @@ proptest! {
         prop_assume!(a != b);
         let topo = ring(n, 1);
         let ud = UpDown::compute_default(&topo);
-        let mut planner = ItbPlanner::new(ItbHostSelection::First);
-        let r = planner.route(&topo, &ud, HostId(a), HostId(b)).unwrap();
+        let mut router = Router::new(&topo, &ud, ItbHostSelection::First);
+        let r = router.itb(HostId(a), HostId(b)).unwrap();
         let h = Header::encode(&r);
         let segs = decode_segments(&h).expect("encoded headers decode");
         prop_assert_eq!(segs.len(), r.segments.len());
@@ -207,12 +207,12 @@ proptest! {
 
         let topo = random_irregular(&IrregularSpec::evaluation_default(switches, seed));
         let ud = UpDown::compute_default(&topo);
-        let mut planner = ItbPlanner::new(ItbHostSelection::RoundRobin);
+        let mut router = Router::new(&topo, &ud, ItbHostSelection::RoundRobin);
         let hosts: Vec<_> = topo.host_ids().collect();
         for &a in hosts.iter().step_by(7) {
             for &b in hosts.iter().step_by(11) {
                 if a == b { continue; }
-                let r = planner.route(&topo, &ud, a, b).unwrap();
+                let r = router.itb(a, b).unwrap();
                 let h = Header::encode(&r);
                 let segs = decode_segments(&h).expect("decodes");
                 prop_assert_eq!(segs.len(), r.segments.len());
