@@ -30,8 +30,7 @@ fn solve_and_check(topo: &Topology, net: &mut FlowNet, what: &str) -> usize {
         assert_eq!(id, fresh_id, "{what}: table order");
         assert_eq!(a.interval, b.interval, "{what}: flow {id} interval");
     }
-    let bits =
-        |n: &FlowNet| -> Vec<u64> { n.channel_allocation().iter().map(|a| a.to_bits()).collect() };
+    let bits = |n: &FlowNet| -> Vec<u64> { n.channel_allocation().map(f64::to_bits).collect() };
     assert_eq!(bits(net), bits(&fresh), "{what}: channel allocation");
     net.len()
 }
