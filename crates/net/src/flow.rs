@@ -18,7 +18,8 @@
 //! `flows` (the `Copy` per-flow state), one position per flow. Their
 //! routes sit back to back in a single `routes` arena of directed
 //! channels, in the same order, each behind a header word that holds the
-//! route's length and a mark. Like the GM mapper's routes, which are
+//! route's length and a mark: the level the last solve froze the flow at,
+//! from which the next solve resumes. Like the GM mapper's routes, which are
 //! computed once and downloaded to the NIC as flat byte strings, a flow's
 //! path is written into the arena once at open and never reallocated.
 //! Callers allocate ids from a monotone counter, so opening is an append.
@@ -63,12 +64,15 @@ const NO_PRED: u16 = u16::MAX;
 
 /// Route header word, the first arena word of every entry: the route's
 /// channel count in the low `LEN_BITS` bits, its mark above them. Mark 0
-/// is a live flow the current solve has not frozen, `1..DEAD` the
-/// (1-based) freeze level it froze at, and `DEAD` a completed or closed
-/// flow.
+/// is a live flow that is not frozen, `1..DEAD` the (1-based) freeze
+/// level the last solve froze it at, kept until a solve thaws it, and
+/// `DEAD` a completed or closed flow.
 const LEN_BITS: u32 = 8;
 const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
 const DEAD: u32 = u32::MAX >> LEN_BITS;
+
+/// Solver snapshots a `FlowNet` keeps for resuming (see [`FlowNet::solve`]).
+const SNAPSHOTS: usize = 4;
 
 /// Channel count of the route behind header `word`.
 fn route_len(word: u32) -> usize {
@@ -160,14 +164,24 @@ pub struct FlowNet {
     index_items: Vec<u32>,
     /// Whether the index describes the current arena.
     index_fresh: bool,
-    /// Solver scratch, reused across solves so the steady-state hot path
+    /// Solver state, reused across solves so the steady-state hot path
     /// allocates nothing: the bottleneck queue, the interval of each
-    /// freeze level of the current solve (mark `k` froze at
+    /// freeze level of the last solve (mark `k` froze at
     /// `levels[k - 1]`), and the header offsets one freeze gathers, as
     /// long as the longest index segment.
     queue: BottleneckQueue,
     levels: Vec<ByteInterval>,
     batch: Vec<u32>,
+    /// Freeze levels of the last solve that still hold: a solve sets it
+    /// to its level count, a dropped flow lowers it below the level it
+    /// froze at, and an open clears it.
+    settled: u32,
+    /// Solver states at pop boundaries of recent solves, ascending by
+    /// level; the first `kept` are valid, the rest are spare buffers.
+    snapshots: Vec<Snapshot>,
+    kept: usize,
+    /// Hop updates the last solve made.
+    hops: u64,
     total_delivered: u64,
     solves: u64,
 }
@@ -270,6 +284,10 @@ impl FlowNet {
             queue: BottleneckQueue::default(),
             levels: Vec::new(),
             batch: Vec::new(),
+            settled: 0,
+            snapshots: Vec::new(),
+            kept: 0,
+            hops: 0,
             total_delivered: 0,
             solves: 0,
         }
@@ -322,6 +340,7 @@ impl FlowNet {
         );
         self.routes[head] = narrow(len);
         self.index_fresh = false;
+        self.settled = 0;
         self.ids.push(id);
         self.flows.push(Flow {
             src,
@@ -388,9 +407,9 @@ impl FlowNet {
 
     /// Keep the flows for which `keep` returns true (it may update the
     /// flow), dropping the rest: one pass in id order compacts `ids` and
-    /// `flows`, and each dropped flow releases its channels and leaves a
-    /// dead arena entry behind. The arena compacts once dead entries
-    /// outnumber live ones.
+    /// `flows`, and each dropped flow releases its channels, unsettles the
+    /// levels from the one it froze at, and leaves a dead arena entry
+    /// behind. The arena compacts once dead entries outnumber live ones.
     fn retain(&mut self, mut keep: impl FnMut(&FlowNet, u64, &mut Flow) -> bool) {
         let (mut kept, mut head) = (0, 0);
         for i in 0..self.ids.len() {
@@ -403,6 +422,7 @@ impl FlowNet {
                 self.flows[kept] = f;
                 kept += 1;
             } else {
+                self.settled = self.settled.min(mark(word).saturating_sub(1));
                 self.routes[head] = (word & LEN_MASK) | DEAD << LEN_BITS;
                 for &c in &self.routes[head + 1..head + 1 + route_len(word)] {
                     self.occupancy[c as usize] -= 1;
@@ -485,7 +505,7 @@ impl FlowNet {
     /// minutes at the 100k-flow scale of the 1024-switch flow benchmark.
     ///
     /// Determinism: queue order is `f64::total_cmp` on the saturation
-    /// level with ties to the lowest channel index, and a popped snapshot
+    /// level with ties to the lowest channel index, and a popped entry
     /// whose channel has since risen is re-queued at the recomputed level
     /// rather than acted on. Every flow a pop freezes adds the same λ to
     /// each channel it crosses, so the order of the freezes within a pop
@@ -498,7 +518,7 @@ impl FlowNet {
     ///
     /// The queue is deliberately *lazy on update*: freezing a flow changes
     /// the saturation level of every channel on its route, but pushing a
-    /// fresh snapshot per touched channel (as a textbook decrease-key
+    /// fresh entry per touched channel (as a textbook decrease-key
     /// substitute would) costs a push per flow×hop — the dominant
     /// wall-clock term at 100k flows. Instead a channel's level is
     /// recomputed from `(cap − alloc) / load` only when its entry
@@ -507,44 +527,104 @@ impl FlowNet {
     /// loaded channel always has one entry at or below its true level,
     /// which is exactly the invariant the pop order needs.
     ///
-    /// Only what changed since the last solve is redone: the channel →
+    /// Only what changed since the last solve is redone. The channel →
     /// flow index is rebuilt after an open or a compaction and reused
-    /// otherwise (a dead entry in it is skipped by its mark). Each
-    /// bottleneck pop freezes in two passes. A branch-free gather walks
-    /// the channel's index segment and collects the header of every flow
-    /// not yet frozen; an apply pass then writes the level into each
+    /// otherwise (a dead entry in it is skipped by its mark). The pops are
+    /// resumed, not repeated: each flow's header keeps the level it froze
+    /// at, and a flow dropped since the last solve was unfrozen at every
+    /// pop before its own level, so it added nothing to any allocation
+    /// there; removing it only lowers loads, which only raises levels
+    /// (IEEE division is monotone in the divisor), so every earlier pop
+    /// freezes the same flows at the same λ. A solve therefore restores
+    /// the last state that no dropped flow reached — the last solve's end
+    /// when nothing was dropped, else the last of up to `SNAPSHOTS`
+    /// snapshots below the earliest dropped level, else level 0 with a
+    /// fresh queue (after any open, a full solve) — thaws the flows frozen
+    /// above it while rebuilding the loads from their routes, and
+    /// continues the same pop loop. A restored queue entry of a channel
+    /// that a dropped flow crossed sits at or below the channel's level,
+    /// so it surfaces early and re-queues like any stale entry. Snapshots
+    /// are taken as the solve's hop updates pass 1/2, 3/4, 7/8 and 15/16
+    /// of its total.
+    ///
+    /// Each bottleneck pop freezes in two passes. A branch-free gather
+    /// walks the channel's index segment and collects the header of every
+    /// flow not yet frozen; an apply pass then writes the level into each
     /// collected header and walks its route, adding λ to each channel's
     /// allocation and taking one off its load (the two sit in one
     /// `Channel` pair, so a hop touches one cache line). One pass in id
-    /// order after the loop turns each level into the flow's interval and
-    /// clears the marks.
+    /// order after the loop turns each level into the flow's interval.
     pub fn solve(&mut self) {
         self.solves += 1;
-        if !self.ids.is_empty() && !self.index_fresh {
+        if self.ids.is_empty() {
+            self.chans.fill(Channel::default());
+            self.levels.clear();
+            self.hops = 0;
+            return;
+        }
+        if !self.index_fresh {
             if self.dead > 0 {
                 self.compact();
             }
             self.build_index();
         }
-        // Unfrozen load per channel starts at the live-flow count: a route
-        // crosses each directed channel at most once (two host links
-        // around a shortest switch path), so it equals the occupancy.
-        for (ch, &n) in self.chans.iter_mut().zip(&self.occupancy) {
-            *ch = Channel {
-                alloc: 0.0,
-                load: n,
-            };
-        }
-        if self.ids.is_empty() {
-            return;
-        }
         let cap = self.cap;
-        self.queue.fill(cap, &self.occupancy);
         let (routes, chans, batch) = (&mut self.routes, &mut self.chans, &mut self.batch);
         let (off, items) = (&self.index_off, &self.index_items);
-        self.levels.clear();
-        let mut lambda = 0.0f64;
-        let mut active = self.ids.len();
+        let last = narrow::<u32, _>(self.levels.len());
+        let settled = self.settled;
+        self.kept = self.snapshots[..self.kept].partition_point(|s| s.level <= settled);
+        let (from, mut lambda) = if settled > 0 && settled >= last {
+            (last, 0.0) // nothing thaws
+        } else if let Some(s) = self.kept.checked_sub(1).map(|k| &self.snapshots[k]) {
+            for (ch, &alloc) in chans.iter_mut().zip(&s.alloc) {
+                ch.alloc = alloc;
+            }
+            self.queue.next = s.next;
+            self.queue.requeued.clone_from(&s.requeued);
+            self.levels.truncate(s.level as usize);
+            (s.level, s.lambda)
+        } else {
+            chans.fill(Channel::default());
+            self.queue.fill(cap, &self.occupancy);
+            self.levels.clear();
+            (0, 0.0)
+        };
+        // Thaw: every flow unfrozen at the resume point (mark 0, or above
+        // `from`) clears its mark and adds itself to its channels' loads.
+        // From level 0 that is every live flow, whose loads are the
+        // occupancy: a route crosses each directed channel at most once
+        // (two host links around a shortest switch path).
+        for (ch, &n) in chans.iter_mut().zip(&self.occupancy) {
+            ch.load = if from == 0 { n } else { 0 };
+        }
+        let (mut active, mut total, mut thawed) = (0, 0u64, 0u64);
+        let mut head = 0;
+        for _ in 0..self.ids.len() {
+            head = live_head(routes, head);
+            let word = routes[head];
+            let end = head + 1 + route_len(word);
+            total += route_len(word) as u64;
+            if mark(word).wrapping_sub(1) >= from {
+                routes[head] = word & LEN_MASK;
+                active += 1;
+                thawed += route_len(word) as u64;
+                if from > 0 {
+                    for &c in &routes[head + 1..end] {
+                        chans[c as usize].load += 1;
+                    }
+                }
+            }
+            head = end;
+        }
+        // Snapshot `k` is due once the hop updates from level 0 reach
+        // `target(k)`; those kept must lie below the first one still due.
+        let target = |k: usize| total - (total >> (k + 1));
+        let mut work = total - thawed;
+        let mut due = (0..SNAPSHOTS)
+            .find(|&k| target(k) >= work)
+            .unwrap_or(SNAPSHOTS);
+        self.kept = self.kept.min(due);
         while active > 0 {
             let Some((key, top)) = self.queue.pop() else {
                 break;
@@ -555,8 +635,8 @@ impl FlowNet {
             }
             let s_now = (cap - alloc).max(0.0) / f64::from(load);
             if level_key(s_now) > key {
-                // Stale snapshot: the channel rose since this entry was
-                // queued. Re-queue it at the current level and move on.
+                // Stale entry: the channel rose since it was queued.
+                // Re-queue it at the current level and move on.
                 self.queue.push(s_now, top);
                 continue;
             }
@@ -590,15 +670,28 @@ impl FlowNet {
                 let h = h as usize;
                 let word = routes[h];
                 routes[h] = word | level << LEN_BITS;
-                for &c2 in &routes[h + 1..h + 1 + route_len(word)] {
+                let route = &routes[h + 1..h + 1 + route_len(word)];
+                work += route.len() as u64;
+                for &c2 in route {
                     let ch = &mut chans[c2 as usize];
                     ch.alloc += lambda;
                     ch.load -= 1;
                 }
             }
+            if due < SNAPSHOTS && work >= target(due) {
+                if self.kept == self.snapshots.len() {
+                    self.snapshots.push(Snapshot::default());
+                }
+                self.snapshots[self.kept].save(level, lambda, &self.queue, chans);
+                self.kept += 1;
+                while due < SNAPSHOTS && work >= target(due) {
+                    due += 1;
+                }
+            }
         }
+        self.hops = work - (total - thawed);
         // Each live flow takes its level's interval (one the loop left
-        // unfrozen keeps its last), and its mark clears for the next solve.
+        // unfrozen keeps its last).
         let mut head = 0;
         for f in &mut self.flows {
             head = live_head(routes, head);
@@ -606,9 +699,9 @@ impl FlowNet {
             if let Some(k) = mark(word).checked_sub(1) {
                 f.interval = self.levels[k as usize];
             }
-            routes[head] = word & LEN_MASK;
             head += 1 + route_len(word);
         }
+        self.settled = narrow(self.levels.len());
     }
 
     /// Serve every flow for one `window`-long round. Byte progress is the
@@ -667,6 +760,14 @@ impl FlowNet {
         self.solves
     }
 
+    /// Hop updates (one per channel of each flow it froze) the last
+    /// solve made: every live route's length after an open, only the
+    /// redone tail's after completions and closes, and none when the flow
+    /// set is unchanged.
+    pub fn last_solve_hops(&self) -> u64 {
+        self.hops
+    }
+
     /// Post-solve allocation per directed channel (bytes/ns), in channel
     /// order.
     pub fn channel_allocation(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
@@ -698,6 +799,32 @@ struct Channel {
     alloc: f64,
     /// Unfrozen flows crossing the channel.
     load: u32,
+}
+
+/// The solver's state at a pop boundary, all a later solve needs to
+/// resume there besides the header marks: the loads are rebuilt from the
+/// flows thawed then, and the queue's sorted run stays as the last full
+/// solve filled it.
+#[derive(Default)]
+struct Snapshot {
+    /// Freeze levels settled when it was taken.
+    level: u32,
+    lambda: f64,
+    /// The queue's sorted-run cursor and re-queued entries.
+    next: usize,
+    requeued: BinaryHeap<Reverse<(u64, Chan)>>,
+    /// Every channel's allocation.
+    alloc: Vec<f64>,
+}
+
+impl Snapshot {
+    /// Overwrite with the current state, reusing the buffers.
+    fn save(&mut self, level: u32, lambda: f64, queue: &BottleneckQueue, chans: &[Channel]) {
+        (self.level, self.lambda, self.next) = (level, lambda, queue.next);
+        self.requeued.clone_from(&queue.requeued);
+        self.alloc.clear();
+        self.alloc.extend(chans.iter().map(|ch| ch.alloc));
+    }
 }
 
 /// The arena offset of the first live header at or after `head`.
@@ -1249,14 +1376,23 @@ mod tests {
         // The index built by the first solve is still in use.
         assert!(net.index_fresh);
         // Closing flow 3 leaves three dead against two live: the arena
-        // compacts to exactly a fresh net's holding flows 4 and 5.
+        // compacts to exactly a fresh net's holding flows 4 and 5, but for
+        // the marks the first solve left in the headers.
         assert_eq!(net.close_crossing(|s| s == SwitchId(2)).len(), 1);
         assert_eq!((net.dead, net.len()), (0, 2));
         assert!(!net.index_fresh);
         let mut fresh = FlowNet::new(&topo, LINK);
         fresh.open(4, hosts[3], hosts[1], 8_000);
         fresh.open(5, hosts[0], hosts[2], 8_000);
-        assert_eq!(net.routes, fresh.routes);
+        let unmarked = |net: &FlowNet| -> Vec<u32> {
+            let (mut routes, mut head) = (net.routes.clone(), 0);
+            while head < routes.len() {
+                routes[head] &= LEN_MASK;
+                head += 1 + route_len(routes[head]);
+            }
+            routes
+        };
+        assert_eq!(unmarked(&net), unmarked(&fresh));
         assert_occupancy_counts_live_routes(&net);
     }
 
@@ -1455,8 +1591,133 @@ mod tests {
             let (a, b) = (net.index_off[c] as usize, net.index_off[c + 1] as usize);
             net.index_items[a..b].reverse();
         }
+        // Unsettle every level, so the second solve redoes every pop.
+        net.settled = 0;
         net.solve();
         assert!(net.index_fresh, "the second solve used the reversed index");
+        assert_eq!(net.last_solve_hops(), full_hops(&net));
         assert_eq!(rates(&net), before);
+    }
+
+    /// 3,000 seeded flows of 1 MB on `irregular_big(32, 5)`, solved once.
+    fn solved_net() -> (Topology, FlowNet) {
+        let topo = builders::irregular_big(32, 5);
+        let hosts = topo.num_hosts() as u64;
+        let mut net = FlowNet::new(&topo, LINK);
+        let mut rng = itb_sim::SimRng::new(0x5e7);
+        for id in 0..3_000 {
+            let s = rng.below(hosts);
+            let d = (s + 1 + rng.below(hosts - 1)) % hosts;
+            net.open(id, HostId(narrow(s)), HostId(narrow(d)), 1_000_000);
+        }
+        net.solve();
+        (topo, net)
+    }
+
+    /// Hop updates of a full solve: the length of every live route.
+    fn full_hops(net: &FlowNet) -> u64 {
+        net.occupancy.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// The level each live flow froze at, in id order.
+    fn marks(net: &FlowNet) -> Vec<u32> {
+        let (mut marks, mut head) = (Vec::new(), 0);
+        for _ in 0..net.len() {
+            head = live_head(&net.routes, head);
+            marks.push(mark(net.routes[head]));
+            head += 1 + route_len(net.routes[head]);
+        }
+        marks
+    }
+
+    /// Every interval and allocation bit equals a fresh net's holding the
+    /// same flows.
+    fn assert_solves_like_fresh(topo: &Topology, net: &FlowNet) {
+        let mut fresh = FlowNet::new(topo, LINK);
+        for (id, f) in net.iter() {
+            fresh.open(id, f.src, f.dst, f.remaining);
+        }
+        fresh.solve();
+        let intervals = |n: &FlowNet| n.iter().map(|(id, f)| (id, f.interval)).collect::<Vec<_>>();
+        let bits = |n: &FlowNet| n.channel_allocation().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(intervals(net), intervals(&fresh));
+        assert_eq!(bits(net), bits(&fresh));
+    }
+
+    /// Leave one byte on each flow the last solve froze at its last level,
+    /// so that a short round completes exactly those.
+    fn complete_the_last_level(net: &mut FlowNet) {
+        let marks = marks(net);
+        let last = narrow::<u32, _>(net.levels.len());
+        let mut victims = 0;
+        for (f, &m) in net.flows.iter_mut().zip(&marks) {
+            if m == last {
+                f.remaining = 1;
+                victims += 1;
+            }
+        }
+        assert_eq!(net.advance(SimDuration::from_us(10)).len(), victims);
+    }
+
+    #[test]
+    fn a_solve_after_only_completions_and_closes_resumes() {
+        let (topo, mut net) = solved_net();
+        assert_eq!(net.last_solve_hops(), full_hops(&net));
+        assert_eq!(net.kept, SNAPSHOTS, "every snapshot was taken");
+        complete_the_last_level(&mut net);
+        net.solve();
+        // The flows of the last level froze after the 15/16 snapshot.
+        let hops = net.last_solve_hops();
+        assert!(0 < hops && 16 * hops <= full_hops(&net), "{hops}");
+        assert_solves_like_fresh(&topo, &net);
+        // A close resumes too. On the chain, four flows share the 2 -> 3
+        // cable (the first level) and two lone flows stay on switches 0
+        // and 1 (the last two); closing switch 0 drops one of the lone
+        // flows, and the other at most is redone.
+        let (topo, mut net) = chain_net();
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        for (id, (s, d)) in [(4, 6), (5, 6), (4, 7), (5, 7), (0, 1), (2, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            net.open(id as u64, hosts[s], hosts[d], 8_000);
+        }
+        net.solve();
+        assert_eq!(marks(&net), [1, 1, 1, 1, 2, 3]);
+        assert_eq!(net.close_crossing(|s| s == SwitchId(0)).len(), 1);
+        net.solve();
+        assert_eq!(net.last_solve_hops(), 2, "only flow 5 froze again");
+        assert_solves_like_fresh(&topo, &net);
+    }
+
+    #[test]
+    fn a_solve_after_any_open_is_full() {
+        let (topo, mut net) = solved_net();
+        complete_the_last_level(&mut net);
+        net.open(3_000, HostId(0), HostId(1), 1_000);
+        net.solve();
+        assert_eq!(net.last_solve_hops(), full_hops(&net));
+        assert_solves_like_fresh(&topo, &net);
+    }
+
+    #[test]
+    fn a_solve_of_an_unchanged_flow_set_does_no_freeze_work() {
+        let (topo, mut net) = solved_net();
+        let rates = |net: &FlowNet| -> (Vec<ByteInterval>, Vec<u64>) {
+            (
+                net.iter().map(|(_, f)| f.interval).collect(),
+                net.channel_allocation().map(f64::to_bits).collect(),
+            )
+        };
+        let before = rates(&net);
+        net.solve();
+        assert_eq!(net.last_solve_hops(), 0);
+        assert_eq!(rates(&net), before);
+        // A round that completes nothing changes no rate either.
+        assert!(net.advance(SimDuration::from_ns(1)).is_empty());
+        net.solve();
+        assert_eq!(net.last_solve_hops(), 0);
+        assert_eq!(rates(&net), before);
+        assert_solves_like_fresh(&topo, &net);
     }
 }

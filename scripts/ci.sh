@@ -57,6 +57,12 @@ step "cargo test --workspace (every other package)"
 # profile; running them again here would only repeat them.
 cargo test --workspace --exclude itb-myrinet -q
 
+step "flow solver resume at 1024 switches (release, ignored test included)"
+# The flows_1024sw shape at full size: ~200 solves on irregular1024, most
+# of them resumed from the one before, each checked bit for bit against a
+# fresh FlowNet. Too slow for a debug build, so it is #[ignore]d.
+cargo test --release -q -p itb-net --test flow_fresh_equivalence -- --include-ignored
+
 step "detlint v2 (determinism & soundness analyzer, hard gate)"
 # Zero-dependency lex -> parse -> call-graph -> rules pipeline: default-hasher
 # maps, wall-clock/entropy/environment reads in sim code, float event-time
